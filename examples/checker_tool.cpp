@@ -17,12 +17,11 @@
 // recorded_soak --log-dir, format: src/log/format.hpp) through the
 // bounded-memory verification front-end (core/stream_verify.hpp): logs
 // that fit --window-events are verified by the sharded parallel driver,
-// larger ones fall over to a streaming engine — the parallel streaming
-// certifier with --stream-threads > 1, the serial certificate monitor
-// otherwise — so a multi-segment log far larger than RAM certifies with
-// peak memory bounded by the window, with the same verdict and flag
-// position the in-RAM monitor produces. The policy defaults to the one
-// recorded in the segment headers.
+// larger ones fall over to the serial certificate monitor, so a
+// multi-segment log far larger than RAM certifies with peak memory bounded
+// by the window, with the same verdict and flag position the in-RAM
+// monitor produces. The policy defaults to the one recorded in the segment
+// headers.
 //
 // Bare legacy invocations (checker_tool --history=h2) still work: no
 // subcommand means `certify`.
@@ -156,9 +155,8 @@ int cmd_certify_log(int argc, char** argv) {
            "monitor in windows of this size");
   cli.flag("shards", std::int64_t{4}, "register shards when the sharded driver runs");
   cli.flag("stream-threads", std::int64_t{1},
-           "verification threads (0 = auto): >1 runs the sharded driver "
-           "multi-threaded, and streams oversized logs through the parallel "
-           "certifier instead of the serial monitor");
+           "sharded-driver threads (0 = auto) for logs that fit the window; "
+           "larger logs stream through the serial monitor and ignore it");
   if (!cli.parse(argc, argv)) return 1;
 
   optm::log::LogReader reader;
@@ -207,16 +205,13 @@ int cmd_certify_log(int argc, char** argv) {
                 static_cast<unsigned long long>(reader.dropped_bytes()));
   }
   std::printf("certlog.events=%zu\n", result.events);
-  std::printf("certlog.engine=%s\n",
-              result.used_sharded_driver
-                  ? "sharded-driver"
-                  : (result.used_parallel_certifier ? "parallel-certifier"
-                                                    : "streaming-monitor"));
+  std::printf("certlog.engine=%s\n", result.used_sharded_driver
+                                         ? "sharded-driver"
+                                         : "streaming-monitor");
   std::printf("certlog.threads=%zu\n", result.threads_used);
-  if (result.used_sharded_driver || result.used_parallel_certifier) {
+  if (result.used_sharded_driver) {
     std::printf("certlog.shards=%zu\n", result.shards_used);
-  }
-  if (!result.used_sharded_driver) {
+  } else {
     std::printf("certlog.windows=%zu\n", result.windows);
   }
   std::printf("certlog.verdict=%s\n",
@@ -283,13 +278,10 @@ void on_signal(int) { g_stop_requested = 1; }
 int cmd_serve(int argc, char** argv) {
   optm::util::Cli cli("checker_tool serve",
                       "run the networked certification service: one "
-                      "connection-private engine per client stream");
+                      "connection-private monitor per client stream");
   cli.flag("bind", "127.0.0.1", "IPv4 address to listen on");
   cli.flag("port", std::int64_t{0},
            "TCP port (0 = ephemeral; the bound port is printed)");
-  cli.flag("stream-threads", std::int64_t{1},
-           "certification threads per stream: >1 gives each connection a "
-           "parallel streaming certifier where its policy can shard");
   cli.flag("credit-events", std::int64_t{1} << 16,
            "per-stream in-flight credit window, in events");
   cli.flag("max-connections", std::int64_t{256},
@@ -299,7 +291,6 @@ int cmd_serve(int argc, char** argv) {
   optm::net::ServerOptions options;
   options.bind_address = cli.get("bind");
   options.port = static_cast<std::uint16_t>(cli.get_int("port"));
-  options.stream_threads = static_cast<std::size_t>(cli.get_int("stream-threads"));
   options.credit_events = static_cast<std::uint64_t>(cli.get_int("credit-events"));
   options.max_connections = static_cast<std::size_t>(cli.get_int("max-connections"));
 
@@ -310,7 +301,6 @@ int cmd_serve(int argc, char** argv) {
   }
   std::printf("serve.bind=%s\n", options.bind_address.c_str());
   std::printf("serve.port=%u\n", server.port());
-  std::printf("serve.stream_threads=%zu\n", options.stream_threads);
   std::fflush(stdout);  // scripts scrape serve.port before connecting
 
   std::signal(SIGINT, on_signal);

@@ -34,9 +34,6 @@ int main(int argc, char** argv) {
   cli.flag("vars", std::int64_t{64}, "shared registers");
   cli.flag("ops-per-tx", std::int64_t{4}, "operations per transaction");
   cli.flag("shards", std::int64_t{4}, "register shards for the offline driver");
-  cli.flag("stream-threads", std::int64_t{1},
-           "live certification threads: 1 = serial monitor, >1 = parallel "
-           "streaming certifier (same verdict, same flag position)");
   cli.flag("log-dir", "",
            "also append every drained batch to a segmented binary log in "
            "this directory (re-certify with: checker_tool certify-log)");
@@ -62,8 +59,6 @@ int main(int argc, char** argv) {
   options.vars = static_cast<std::uint32_t>(cli.get_int("vars"));
   options.ops_per_tx = static_cast<std::uint32_t>(cli.get_int("ops-per-tx"));
   options.shards = static_cast<std::size_t>(cli.get_int("shards"));
-  options.live_stream_threads =
-      static_cast<std::size_t>(cli.get_int("stream-threads"));
 
   optm::log::LogMetadata meta;
   meta.runtime = flags->stm;
@@ -138,10 +133,6 @@ int main(int argc, char** argv) {
   std::printf("soak.live_pipeline_events_per_sec=%.0f\n",
               result.live_events_per_sec);
   std::printf("soak.live_batches=%zu\n", result.live_batches);
-  std::printf("soak.live_certifier=%s\n",
-              result.live_parallel ? "parallel" : "serial");
-  std::printf("soak.live_threads=%zu\n", result.live_threads_used);
-  std::printf("soak.live_shards=%zu\n", result.live_shards_used);
   std::printf("soak.live_monitor=%s\n", result.live_ok ? "clean" : "VIOLATION");
   if (!result.live_ok) {
     std::printf("soak.live_monitor_reason=%s\n",
@@ -223,18 +214,13 @@ int main(int argc, char** argv) {
         "  \"recorded_events\": %zu,\n"
         "  \"live_pipeline_events_per_sec\": %.0f,\n"
         "  \"live_batches\": %zu,\n"
-        "  \"live_certifier\": \"%s\",\n"
-        "  \"live_threads\": %zu,\n"
-        "  \"live_shards\": %zu,\n"
         "  \"offline_events_per_sec\": %.0f,\n"
         "  \"offline_shards\": %zu",
         result.stm.c_str(), to_string(result.policy),
         result.window_mode.c_str(), flags->stamp_batch, options.threads,
         result.recorded_events,
         result.live_events_per_sec, result.live_batches,
-        result.live_parallel ? "parallel" : "serial", result.live_threads_used,
-        result.live_shards_used, result.offline_events_per_sec,
-        result.offline_shards);
+        result.offline_events_per_sec, result.offline_shards);
     if (log_writer != nullptr) {
       const auto pstats = log_writer->pipeline_stats();
       std::fprintf(f,

@@ -26,13 +26,12 @@
 //    produce them, because the recorder window makes commit points atomic
 //    with their C events.
 //
-// Both backends are single-threaded. When live certification needs to
-// scale past one core, core::ParallelStreamCertifier
-// (parallel_stream.hpp) shards the certificate pass across worker
-// threads with the SAME verdict and first condemned position as
-// OnlineCertificateMonitor (differentially fuzz-tested) — the trade is
-// verdict latency: it answers at merge barriers and finish(), not per
-// event.
+// Both backends are single-threaded, and OnlineCertificateMonitor is the
+// one streaming certifier: live drains (stm::MonitorSink), oversized logs
+// (stream_verify.hpp) and network tenants (net/server.hpp) all feed it on
+// the calling thread. A recorded history that fits in RAM can instead go
+// through the sharded offline driver (parallel_verify.hpp), which reaches
+// the same verdict and first condemned position using several cores.
 //
 // The committed VERSION ORDER the certificate checks against is no longer
 // hard-wired to the commit (C-record) order: the monitor takes a

@@ -46,8 +46,9 @@
 // event-by-event; the equivalence is fuzz-tested (kStampedRead adds the
 // per-read (rv, version) stamp cross-checks of window-free recordings —
 // the shard pass validates each stamped read against its shard's version
-// chain, pass 0 checks commit-stamp/read-snapshot monotonicity). kBlindWriteSmart is sound on both sides (a certified
-// verdict always rests on an exactly verified order) but the two engines
+// chain, pass 0 checks commit-stamp/read-snapshot monotonicity).
+// kBlindWriteSmart is sound on both sides (a certified verdict always
+// rests on an exactly verified order) but the monitor and the driver
 // search different prefixes — the monitor repairs at the first repairable
 // flag and re-verifies each later prefix, the driver repairs once over the
 // whole history and only when every flag is repairable — so flagged
@@ -104,8 +105,8 @@ struct VerifyConcurrency {
 };
 
 /// THE one resolution rule behind every `num_shards` / `num_threads`
-/// option pair in the verification drivers (ShardVerifyOptions,
-/// StreamVerifyOptions, ParallelStreamCertifier::Options): 0 threads means
+/// option pair that sizes the sharded driver (ShardVerifyOptions, and
+/// StreamVerifyOptions when the stream fits its window): 0 threads means
 /// std::thread::hardware_concurrency() (at least 1), 0 shards means
 /// min(#registers, threads) (at least 1). Explicit values pass through
 /// unclamped — a caller may deliberately oversubscribe a one-core box

@@ -3,7 +3,7 @@
 // (multi-segment binary logs, log/reader.hpp).
 //
 // Strategy: the sharded parallel driver (parallel_verify.hpp) is the
-// strongest engine — multi-threaded, full flag list, definitional
+// strongest checker — multi-threaded, full flag list, definitional
 // fallback, §3.6 smart reorder — but it needs the whole history
 // materialized. The streaming certificate monitor (online.hpp) needs only
 // O(transactions + live versions) state and is verdict- and
@@ -11,9 +11,10 @@
 // suites). verify_event_stream therefore buffers the stream into a
 // History while it still fits `window_events`; if the stream ends within
 // the window it runs the sharded driver over the materialized history,
-// otherwise it replays the buffer into an OnlineCertificateMonitor, frees
+// otherwise it replays the buffer into one OnlineCertificateMonitor, frees
 // it, and streams the rest through ingest() in window-bounded spans —
-// peak memory is the window plus monitor state, never the history size.
+// peak memory is the window plus monitor state, never the history size,
+// and the streaming path always runs on the calling thread.
 #pragma once
 
 #include <cstddef>
@@ -37,18 +38,15 @@ struct StreamVerifyOptions {
   VersionOrderPolicy policy = VersionOrderPolicy::kCommitOrder;
   /// The materialization window, in events: histories up to this size are
   /// verified with the sharded parallel driver; longer streams fall over
-  /// to the streaming engines. Also bounds the span size fed per ingest.
+  /// to the streaming monitor. Also bounds the span size fed per ingest.
   std::size_t window_events = std::size_t{1} << 20;
-  /// Concurrency, resolved ONCE per stream by resolve_verify_concurrency
+  /// Sharded-driver concurrency, resolved by resolve_verify_concurrency
   /// (parallel_verify.hpp — the same "0 = auto" rule as
-  /// ShardVerifyOptions), and applied on BOTH paths: the sharded driver
-  /// when the stream fits the window, and the parallel streaming
-  /// certifier (parallel_stream.hpp) when it does not. When the resolved
-  /// thread count is 1 — or the policy is kBlindWriteSmart, which cannot
-  /// shard — the streaming path runs the serial monitor instead.
+  /// ShardVerifyOptions). It applies only when the stream fits the window;
+  /// a longer stream runs the serial monitor and ignores both fields.
   std::size_t num_shards = 0;
   std::size_t num_threads = 0;
-  /// Engine pre-sizing hints (events within the bounds allocate nothing).
+  /// Monitor pre-sizing hints (events within the bounds allocate nothing).
   std::size_t reserve_txs = 0;
   std::size_t reserve_versions = 0;
 };
@@ -61,10 +59,7 @@ struct StreamVerifyResult {
   std::size_t events = 0;
   /// True when the stream fit the window and the sharded driver ran.
   bool used_sharded_driver = false;
-  /// True when the streaming path ran the parallel certifier instead of
-  /// the serial monitor.
-  bool used_parallel_certifier = false;
-  std::size_t shards_used = 0;  // sharded driver / parallel certifier
+  std::size_t shards_used = 0;  // sharded driver only
   /// Worker threads the verification occupied (1 = serial monitor).
   std::size_t threads_used = 0;
   /// Number of ingest windows fed on the streaming path.

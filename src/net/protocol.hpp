@@ -2,7 +2,7 @@
 //
 // One TCP connection carries one event stream ("tenant"): a client
 // process records transactional events and ships them to the service,
-// which runs a per-stream certification engine and multiplexes verdicts
+// which runs a per-stream certificate monitor and multiplexes verdicts
 // back. The stream layer reuses the optm-log-v1 block framing VERBATIM
 // (log/format.hpp): after the handshake, the client sends
 //
@@ -20,14 +20,13 @@
 //
 // HANDSHAKE. HelloFrame carries the segment-header provenance fields
 // (runtime / policy / window-mode / vars / threads — the optm-soak-v1
-// vocabulary) plus engine pre-sizing hints, so the server can configure
-// each connection's OnlineCertificateMonitor (or ParallelStreamCertifier)
-// with the right model, version-order policy and reserve() before the
-// first event arrives.
+// vocabulary) plus monitor pre-sizing hints, so the server can configure
+// each connection's OnlineCertificateMonitor with the right model,
+// version-order policy and reserve() before the first event arrives.
 //
 // RESPONSES. The server answers with RespFrames:
 //   * kAck    — credit/backpressure: `events` = cumulative events the
-//               engine has ingested, `window` = the per-stream in-flight
+//               monitor has ingested, `window` = the per-stream in-flight
 //               budget. The client must keep (sent - acked) <= window;
 //               the server paces acks AdaptiveDrainPacer-style (a grant
 //               per ~half window of ingested events), so a slow verifier
@@ -36,8 +35,8 @@
 //               CertFlagKind, reason text). The stream continues: like
 //               MonitorSink, a violation is not a transport failure, and
 //               the recording stays complete for post-mortems.
-//   * kFinal  — the definitive verdict, sent after FIN once the engine's
-//               finish() ran: certified flag + earliest violation.
+//   * kFinal  — the definitive verdict, sent after FIN: certified flag +
+//               earliest violation.
 //   * kError  — protocol failure (bad magic/CRC, event-size mismatch,
 //               unknown policy, stamp discontinuity). The server closes
 //               the connection after sending it; other tenants are
@@ -73,9 +72,9 @@ struct HelloFrame {
   std::uint32_t event_size = sizeof(core::Event);  // cross-ABI guard
   std::uint32_t num_vars = 0;   // registers in the recorded model
   std::uint32_t threads = 0;    // producer threads (informational)
-  /// Engine pre-sizing hints (0 = let the server default): expected
+  /// Monitor pre-sizing hints (0 = let the server default): expected
   /// distinct transactions and (register, value) versions, forwarded to
-  /// the engine's reserve().
+  /// the monitor's reserve().
   std::uint64_t reserve_txs = 0;
   std::uint64_t reserve_versions = 0;
   // Segment-header provenance mirror (log/format.hpp field widths).
@@ -100,7 +99,7 @@ enum class RespKind : std::uint32_t {
 struct RespFrame {
   std::uint32_t magic = kRespMagic;
   std::uint32_t kind = 0;       // RespKind
-  std::uint64_t events = 0;     // cumulative events ingested by the engine
+  std::uint64_t events = 0;     // cumulative events ingested by the monitor
   std::uint64_t window = 0;     // kAck: per-stream in-flight event budget
   std::uint64_t flag_pos = 0;   // kFlag/kFinal: earliest violation position
   std::uint32_t flag_kind = 0;  // core::CertFlagKind

@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "core/online.hpp"
-#include "core/parallel_stream.hpp"
 #include "core/version_order.hpp"
 #include "net/protocol.hpp"
 
@@ -33,7 +32,7 @@ namespace {
 }  // namespace
 
 /// One tenant connection: rx/tx buffering, the protocol state machine and
-/// the connection-private certification engine. Owned by the loop thread.
+/// the connection-private certificate monitor. Owned by the loop thread.
 struct CertServer::Conn {
   enum class State : std::uint8_t {
     kHello,      // waiting for the handshake frame
@@ -57,38 +56,14 @@ struct CertServer::Conn {
   std::uint64_t events_ingested = 0;
   std::uint64_t last_acked = 0;
 
-  // Exactly one of these is live after a valid handshake.
+  // Connection-private, live after a valid handshake.
   std::unique_ptr<core::OnlineCertificateMonitor> monitor;
-  std::unique_ptr<core::ParallelStreamCertifier> certifier;
 
   [[nodiscard]] std::size_t rx_avail() const noexcept {
     return rx.size() - rx_off;
   }
   [[nodiscard]] const unsigned char* rx_data() const noexcept {
     return rx.data() + rx_off;
-  }
-
-  [[nodiscard]] bool engine_ok() const {
-    if (monitor) return monitor->ok();
-    if (certifier) return certifier->ok();
-    return true;
-  }
-  [[nodiscard]] const std::optional<core::OnlineViolation>& engine_violation()
-      const {
-    static const std::optional<core::OnlineViolation> none;
-    if (monitor) return monitor->violation();
-    if (certifier) return certifier->violation();
-    return none;
-  }
-  void engine_ingest(std::span<const core::Event> events) {
-    if (monitor) {
-      (void)monitor->ingest(events);
-    } else if (certifier) {
-      (void)certifier->ingest(events);
-    }
-  }
-  void engine_finish() {
-    if (certifier) (void)certifier->finish();
   }
 };
 
@@ -186,9 +161,6 @@ struct CertServer::Loop {
 
   void close_conn(std::list<Conn>::iterator it) {
     Conn& c = *it;
-    // A parallel certifier must be drained before destruction; ignore the
-    // verdict — the stream is already accounted for.
-    c.engine_finish();
     if (c.failed) {
       bump(&ServerStats::streams_failed);
     }
@@ -206,7 +178,7 @@ struct CertServer::Loop {
     graveyard.splice(graveyard.end(), conns, it);
   }
 
-  /// Handshake frame -> connection-private engine. False on any defect
+  /// Handshake frame -> connection-private monitor. False on any defect
   /// (kError already queued).
   [[nodiscard]] bool handle_hello(Conn& c, const HelloFrame& hello) {
     if (hello.magic != kHelloMagic || !hello_crc_ok(hello)) {
@@ -238,29 +210,14 @@ struct CertServer::Loop {
     const std::uint64_t reserve_versions =
         std::min(hello.reserve_versions, options().max_reserve_hint);
     try {
-      auto model = core::ObjectModel::registers(hello.num_vars, 0);
-      const bool parallel =
-          options().stream_threads > 1 &&
-          *policy != core::VersionOrderPolicy::kBlindWriteSmart;
-      if (parallel) {
-        core::ParallelStreamCertifier::Options popts;
-        popts.num_threads = options().stream_threads;
-        c.certifier = std::make_unique<core::ParallelStreamCertifier>(
-            std::move(model), *policy, popts);
-        if (reserve_txs != 0 || reserve_versions != 0) {
-          c.certifier->reserve(reserve_txs, reserve_versions);
-        }
-      } else {
-        c.monitor = std::make_unique<core::OnlineCertificateMonitor>(
-            std::move(model), *policy);
-        if (reserve_txs != 0 || reserve_versions != 0) {
-          c.monitor->reserve(reserve_txs, reserve_versions);
-        }
+      c.monitor = std::make_unique<core::OnlineCertificateMonitor>(
+          core::ObjectModel::registers(hello.num_vars, 0), *policy);
+      if (reserve_txs != 0 || reserve_versions != 0) {
+        c.monitor->reserve(reserve_txs, reserve_versions);
       }
     } catch (const std::exception&) {
-      // bad_alloc/length_error (or a pool that failed to spawn): a
-      // per-connection failure, never a server crash.
-      c.certifier.reset();
+      // bad_alloc/length_error: a per-connection failure, never a server
+      // crash.
       c.monitor.reset();
       protocol_error(c, "engine setup failed");
       return false;
@@ -270,17 +227,16 @@ struct CertServer::Loop {
     return true;
   }
 
-  /// FIN marker: run the engine's final barrier and queue the verdict.
+  /// FIN marker: queue the monitor's definitive verdict.
   void handle_fin(Conn& c, const log::BlockHeader& bh) {
     if (bh.event_count != 0 || bh.first_stamp != c.events_ingested) {
       protocol_error(c, "malformed FIN marker");
       return;
     }
-    c.engine_finish();
     RespFrame f;
     f.kind = static_cast<std::uint32_t>(RespKind::kFinal);
     f.events = c.events_ingested;
-    const auto& violation = c.engine_violation();
+    const auto& violation = c.monitor->violation();
     f.certified = violation ? 0 : 1;
     std::string reason;
     if (violation) {
@@ -297,7 +253,7 @@ struct CertServer::Loop {
   }
 
   /// One optm-log-v1 block: validate framing, copy the payload into
-  /// aligned scratch, feed the engine. False if more bytes are needed.
+  /// aligned scratch, feed the monitor. False if more bytes are needed.
   [[nodiscard]] bool handle_block(Conn& c) {
     if (c.rx_avail() < sizeof(log::BlockHeader)) return false;
     log::BlockHeader bh;
@@ -337,14 +293,14 @@ struct CertServer::Loop {
     c.scratch.resize(bh.event_count);
     std::memcpy(c.scratch.data(), body, payload);
     c.rx_off += sizeof(bh) + payload;
-    c.engine_ingest(c.scratch);
+    (void)c.monitor->ingest(c.scratch);
     c.events_ingested += bh.event_count;
     bump(&ServerStats::events_ingested, bh.event_count);
-    if (!c.flag_sent && !c.engine_ok()) {
+    if (!c.flag_sent && !c.monitor->ok()) {
       // Early warning; the stream keeps flowing (the recording stays
       // complete), kFinal repeats the verdict authoritatively.
       c.flag_sent = true;
-      const auto& violation = c.engine_violation();
+      const auto& violation = c.monitor->violation();
       RespFrame f;
       f.kind = static_cast<std::uint32_t>(RespKind::kFlag);
       f.events = c.events_ingested;

@@ -4,9 +4,7 @@
 // stream speaking optm-net-v1 (protocol.hpp): a CRC-sealed HelloFrame
 // carrying the segment-header provenance fields, then optm-log-v1 blocks
 // of raw events, then a FIN marker. Per connection the server stands up
-// its own certification engine — an OnlineCertificateMonitor, or a
-// ParallelStreamCertifier when Options::stream_threads > 1 and the
-// stream's policy can shard — configured and reserve()d from the
+// its own OnlineCertificateMonitor, configured and reserve()d from the
 // handshake, and multiplexes kAck (credit/backpressure), kFlag (violation
 // latched, stream continues), kFinal (definitive verdict) and kError
 // frames back.
@@ -14,13 +12,13 @@
 // FAILURE ISOLATION. Everything that can go wrong on one connection —
 // malformed frames, CRC failures, event-size or stamp-continuity
 // mismatches, an unknown policy, out-of-bounds handshake sizing fields,
-// an engine allocation failure, a mid-stream disconnect, a slow reader
+// a monitor allocation failure, a mid-stream disconnect, a slow reader
 // whose response buffer overflows, a sender that ignores its credit
 // window — is a per-connection error: the server sends kError where it
 // still can, closes that connection, counts it in
 // stats().streams_failed, and keeps serving every other tenant. Nothing
 // a client sends can take the service down or poison another stream's
-// verdict (each engine is connection-private).
+// verdict (each monitor is connection-private).
 //
 // BACKPRESSURE. Each stream gets a fixed in-flight budget
 // (Options::credit_events, announced in the handshake ack); the server
@@ -34,9 +32,8 @@
 // with kError instead of growing the rx buffer without bound.
 //
 // THREADING. One loop thread owns the epoll set, all connection state and
-// all serial engines; ParallelStreamCertifier connections additionally
-// own their private worker pools (stream_threads - 1 shards + a pass-0
-// worker each). start()/stop()/stats()/port() are safe from any thread.
+// every connection's monitor; certification adds no thread of its own.
+// start()/stop()/stats()/port() are safe from any thread.
 #pragma once
 
 #include <atomic>
@@ -53,10 +50,6 @@ struct ServerOptions {
   std::string bind_address = "127.0.0.1";
   /// 0 = let the kernel pick an ephemeral port (read it back via port()).
   std::uint16_t port = 0;
-  /// Live-certification threads per stream: 1 = the serial monitor, > 1 =
-  /// a per-connection ParallelStreamCertifier with this worker budget
-  /// (streams whose policy cannot shard fall back to the monitor).
-  std::size_t stream_threads = 1;
   /// Per-stream in-flight credit, in events (announced in the first ack).
   std::uint64_t credit_events = std::uint64_t{1} << 16;
   /// Accepted connections beyond this are closed immediately.

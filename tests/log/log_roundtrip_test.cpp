@@ -206,16 +206,27 @@ TEST(LogRoundTrip, VerdictEquivalenceDiskVsRamAllPolicies) {
       (void)ram_monitor.ingest(rec.history.events());
 
       // Disk-streamed, windows far smaller than the recording so the
-      // bounded-memory monitor path runs.
-      log::LogReader streamed;
-      ASSERT_TRUE(streamed.open(rec.dir)) << streamed.error();
-      core::StreamVerifyOptions small;
-      small.policy = policy;
-      small.window_events = 512;
-      const auto via_stream = core::verify_event_stream(
-          rec.history.model(), [&streamed] { return streamed.next(); }, small);
-      EXPECT_TRUE(streamed.ok()) << streamed.error();
-      EXPECT_FALSE(via_stream.used_sharded_driver);
+      // bounded-memory monitor path runs: once with the default budget and
+      // once with 4 shards and 4 threads. Past the window the budget sizes
+      // nothing — the stream always runs the serial monitor on this thread.
+      const auto stream_small = [&](std::size_t budget) {
+        log::LogReader streamed;
+        EXPECT_TRUE(streamed.open(rec.dir)) << streamed.error();
+        core::StreamVerifyOptions small;
+        small.policy = policy;
+        small.window_events = 512;
+        small.num_shards = budget;
+        small.num_threads = budget;
+        const auto r = core::verify_event_stream(
+            rec.history.model(), [&streamed] { return streamed.next(); },
+            small);
+        EXPECT_TRUE(streamed.ok()) << streamed.error();
+        EXPECT_FALSE(r.used_sharded_driver);
+        EXPECT_EQ(r.threads_used, 1u);
+        return r;
+      };
+      const auto via_stream = stream_small(0);
+      const auto via_stream_budget4 = stream_small(4);
 
       // Disk-streamed again with a window larger than the log, so the
       // sharded parallel driver path runs instead.
@@ -230,7 +241,7 @@ TEST(LogRoundTrip, VerdictEquivalenceDiskVsRamAllPolicies) {
       EXPECT_TRUE(buffered.ok()) << buffered.error();
       EXPECT_TRUE(via_driver.used_sharded_driver);
 
-      for (const auto* disk : {&via_stream, &via_driver}) {
+      for (const auto* disk : {&via_stream, &via_stream_budget4, &via_driver}) {
         EXPECT_EQ(disk->events, rec.history.size());
         EXPECT_EQ(disk->certified, ram_monitor.ok());
         ASSERT_EQ(disk->violation.has_value(),

@@ -243,29 +243,6 @@ TEST(NetService, FlaggedStreamMatchesLocalMonitor) {
   EXPECT_EQ(server.stats().streams_flagged, 1u);
 }
 
-TEST(NetService, PerStreamParallelCertifierMatchesMonitor) {
-  net::ServerOptions options;
-  options.stream_threads = 3;
-  net::CertServer server(options);
-  ASSERT_TRUE(server.start()) << server.error();
-
-  const auto bad = flagged_stream(64);
-  const auto local = local_verdict(bad, 4, "commit-order");
-  ASSERT_TRUE(local.has_value());
-
-  net::RemoteVerdict verdict;
-  ASSERT_TRUE(stream_to(server.port(), bad, meta_for(4, "commit-order"),
-                        verdict));
-  EXPECT_FALSE(verdict.certified);
-  ASSERT_TRUE(verdict.violation.has_value());
-  EXPECT_EQ(verdict.violation->pos, local->pos);
-
-  net::RemoteVerdict clean;
-  ASSERT_TRUE(stream_to(server.port(), certified_stream(100),
-                        meta_for(4, "commit-order"), clean));
-  EXPECT_TRUE(clean.certified);
-}
-
 TEST(NetService, BackpressureWithTinyCreditWindowCompletes) {
   net::ServerOptions options;
   options.credit_events = 64;  // forces many wait_credit round trips
