@@ -290,127 +290,6 @@ TEST(ShardedRecorder, WindowFreeDrainWhileRecordingCertifiesStamped) {
   EXPECT_EQ(live.events_fed(), recorder.num_events());
 }
 
-// --- batch stamping (Recorder::Options::stamp_batch) -------------------------
-
-TEST(BatchStamping, AmortizesTicketsAndDrainsIdentically) {
-  // The same deterministic single-thread schedule recorded per-event and
-  // at batch grain 8: the drained streams must be byte-equal (batching
-  // changes how many clock tickets are drawn, never what is recorded or
-  // in which order), and the batch engine must have drawn strictly fewer
-  // tickets than events.
-  auto drive = [](Recorder& recorder) {
-    const auto stm = make_stm("tl2", 6);
-    ASSERT_TRUE(stm->set_window_free(true));
-    stm->set_recorder(&recorder);
-    sim::ThreadCtx ctx(0);
-    util::Xoshiro256 rng(17);
-    for (int t = 0; t < 40; ++t) {
-      stm->begin(ctx);
-      bool doomed = false;
-      const auto ops = 1 + rng.below(4);
-      for (std::uint64_t op = 0; op < ops && !doomed; ++op) {
-        const auto var = static_cast<VarId>(rng.below(6));
-        if (rng.chance(0.5)) {
-          doomed = !stm->write(ctx, var, (t << 8) | (op + 1));
-        } else {
-          std::uint64_t v = 0;
-          doomed = !stm->read(ctx, var, v);
-        }
-      }
-      if (!doomed) (void)stm->commit(ctx);
-    }
-  };
-
-  Recorder per_event(6);
-  drive(per_event);
-  Recorder batched(6, Recorder::Options{8});
-  drive(batched);
-  ASSERT_EQ(batched.stamp_batch(), 8u);
-
-  EventBatch a;
-  while (per_event.drain(a) > 0) {
-  }
-  EventBatch b;
-  while (batched.drain(b) > 0) {
-  }
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    ASSERT_EQ(a[i], b[i]) << "batch stamping diverged at event " << i << ": "
-                          << core::to_string(a[i]) << " vs "
-                          << core::to_string(b[i]);
-  }
-
-  // Per-event mode: one ticket per event, exactly. Batch mode: strictly
-  // fewer (a single-thread schedule extends nearly every batch).
-  EXPECT_EQ(per_event.tickets_issued(), per_event.num_events());
-  EXPECT_LT(batched.tickets_issued(), batched.num_events());
-  EXPECT_EQ(per_event.stamps_issued(), per_event.num_events());
-
-  // stamps_issued() lags an OPEN batch (event-unit accounting counts a
-  // batch when it closes); the owner's flush settles it.
-  batched.flush_lane(0);
-  EXPECT_EQ(batched.stamps_issued(), batched.num_events());
-}
-
-TEST(BatchStamping, OpenBatchGatesDrainUntilFlushed) {
-  // Hand-driven pushes, exercising the drain-side gate: an open batch's
-  // published prefix is emitted, but the merge parks on its ticket until
-  // the batch closes — and retires the parked ticket on the next drain
-  // (the earlier-drain stall must not wedge the merge forever).
-  Recorder recorder(4, Recorder::Options{4});
-  recorder.on_inv(0, 1, 0, core::OpCode::kRead, 0);
-  recorder.on_inv(0, 1, 1, core::OpCode::kRead, 0);
-
-  // Lane 0's batch (ticket 0) is open: both events drain (partial
-  // emission keeps approx_pending honest), but ticket 0 stays parked.
-  EventBatch out;
-  EXPECT_EQ(recorder.drain(out), 2u);
-  EXPECT_EQ(recorder.approx_pending(), 0u);
-  EXPECT_EQ(recorder.tickets_issued(), 1u);
-
-  // Lane 1 draws ticket 1; it cannot pass the parked open ticket 0.
-  recorder.on_inv(1, 2, 0, core::OpCode::kRead, 0);
-  EXPECT_EQ(recorder.drain(out), 0u);
-  EXPECT_EQ(recorder.approx_pending(), 1u);
-
-  // Closing lane 0's batch releases the merge; lane 1's event drains.
-  recorder.flush_lane(0);
-  EXPECT_EQ(recorder.drain(out), 1u);
-  EXPECT_EQ(recorder.approx_pending(), 0u);
-  ASSERT_EQ(out.size(), 3u);
-
-  // A serial record (commit) closes its lane's batch at birth: no flush
-  // needed for the merge to pass it.
-  recorder.on_ret(1, 2, 0, core::OpCode::kRead, 0, 0);
-  recorder.on_commit(1, 2, /*stamp=*/2);
-  EXPECT_EQ(recorder.drain(out), 2u);
-  EXPECT_EQ(recorder.approx_pending(), 0u);
-  EXPECT_EQ(out.size(), 5u);
-  EXPECT_EQ(out[4].kind, core::EventKind::kCommit);
-
-  // history() (the collect path) agrees with the drained order.
-  const core::History h = recorder.history();
-  ASSERT_EQ(h.size(), out.size());
-  for (std::size_t i = 0; i < h.size(); ++i) EXPECT_EQ(h[i], out[i]);
-}
-
-TEST(BatchStamping, BatchOfOneIsPerEventMode) {
-  // Options{1} must take the untouched per-event path: ticket count ==
-  // event count, no flush needed, drain never parks.
-  Recorder recorder(4, Recorder::Options{1});
-  EXPECT_EQ(recorder.stamp_batch(), 1u);
-  recorder.on_inv(0, 1, 0, core::OpCode::kRead, 0);
-  recorder.on_inv(1, 2, 1, core::OpCode::kRead, 0);
-  EventBatch out;
-  EXPECT_EQ(recorder.drain(out), 2u);
-  EXPECT_EQ(recorder.tickets_issued(), 2u);
-  EXPECT_EQ(recorder.stamps_issued(), 2u);
-  EXPECT_EQ(recorder.approx_pending(), 0u);
-  // Clamping: 0 is nonsense and means "per event".
-  Recorder clamped(4, Recorder::Options{0});
-  EXPECT_EQ(clamped.stamp_batch(), 1u);
-}
-
 TEST(ShardedRecorder, BeginTxIdsAreUniqueAcrossThreads) {
   Recorder recorder(1);
   std::vector<std::vector<core::TxId>> ids(4);
