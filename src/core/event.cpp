@@ -4,6 +4,14 @@
 
 namespace optm::core {
 
+std::string tx_tag(TxId tx) {
+  // Appended rather than "T" + std::to_string(tx): gcc 12's -Wrestrict
+  // misreads the inlined prepend as an overlapping memcpy.
+  std::string tag(1, 'T');
+  tag += std::to_string(tx);
+  return tag;
+}
+
 std::string to_string(const Event& e) {
   std::ostringstream os;
   switch (e.kind) {

@@ -118,6 +118,10 @@ namespace ev {
 
 }  // namespace ev
 
+/// "T<id>", the paper's name for a transaction, as flag and failure
+/// messages spell it.
+[[nodiscard]] std::string tx_tag(TxId tx);
+
 /// Renders an event in the paper's notation, e.g. "inv1(x3, read)",
 /// "ret2(x0, read -> 5)", "tryC1", "A2".
 [[nodiscard]] std::string to_string(const Event& e);

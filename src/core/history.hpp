@@ -54,6 +54,9 @@ class History {
     return *this;
   }
 
+  /// Pre-size the event buffer for `events` events (no effect on content).
+  void reserve(std::size_t events) { events_.reserve(events); }
+
   /// A history over `model` from one contiguous event run.
   [[nodiscard]] static History from_batch(ObjectModel model,
                                           std::span<const Event> batch) {

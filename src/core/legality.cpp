@@ -71,7 +71,7 @@ bool transaction_legal(const History& s, TxId ti, std::string* why) {
   std::string inner;
   if (!sequential_legal(sub, &inner)) {
     if (why != nullptr) {
-      *why = "T" + std::to_string(ti) + " illegal: " + inner;
+      *why = tx_tag(ti) + " illegal: " + inner;
     }
     return false;
   }

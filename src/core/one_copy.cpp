@@ -84,7 +84,7 @@ bool mvsg_acyclic(const MvView& view, const std::vector<std::size_t>& rank,
     for (const auto& [obj, k] : view.nodes[m].reads) {
       if (k == MvView::kMissingWriter) {
         if (why != nullptr) {
-          *why = "T" + std::to_string(view.nodes[m].id) +
+          *why = tx_tag(view.nodes[m].id) +
                  " reads a value not written by any committed transaction";
         }
         return false;

@@ -1,5 +1,6 @@
 #include "core/online.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "core/object_spec.hpp"
@@ -70,8 +71,9 @@ OnlineCertificateMonitor::OnlineCertificateMonitor(ObjectModel model,
     }
     // The initializer's version of every register: open from rank 0.
     const Value init = reg->initial_value();
-    versions_.slot(r, init) = VersionRec{kInitTx, 0, kOpen};
-    current_[r] = {r, init};
+    VersionRec& rec = versions_.slot(r, init);
+    rec = VersionRec{kInitTx, 0, kOpen};
+    current_[r] = versions_.index_of(rec);
   }
 }
 
@@ -79,6 +81,9 @@ void OnlineCertificateMonitor::reserve(std::size_t num_txs,
                                        std::size_t num_versions,
                                        std::size_t holders_per_register) {
   txs_.reserve(num_txs);
+  const std::size_t live = std::min(num_txs, kLiveReserve);
+  live_.reserve(live);
+  free_live_.reserve(live);
   versions_.reserve(num_versions);
   if (holders_per_register > 0) {
     for (auto& h : holders_) h.reserve(holders_per_register);
@@ -96,14 +101,6 @@ bool OnlineCertificateMonitor::fail(CertFlagKind kind,
   violation_ = OnlineViolation{pos_, reason, kind};
   return false;
 }
-
-namespace {
-
-/// Failure tags are built lazily: the hot path must not allocate a string
-/// per event (batch ingestion feeds millions of them).
-[[nodiscard]] std::string tx_tag(TxId tx) { return "T" + std::to_string(tx); }
-
-}  // namespace
 
 bool OnlineCertificateMonitor::try_retro_order() {
   SmartReorderOptions options;
@@ -189,8 +186,8 @@ bool OnlineCertificateMonitor::on_operation_response(const Event& e,
                 tx_tag(e.tx) + " read back its own value without a prior write");
   }
   if (rec.writer != kInitTx) {
-    const TxState* w = txs_.find(rec.writer);
-    if (w == nullptr || !w->committed) {
+    const TxCode* w = txs_.find(rec.writer);
+    if (w == nullptr || *w != kCommitted) {
       // Possibly the H4 commit-pending case — conservative (see header).
       return fail(CertFlagKind::kReadFromNonCommitted,
                   tx_tag(e.tx) + " read x" + std::to_string(e.obj) + "=" +
@@ -303,13 +300,13 @@ bool OnlineCertificateMonitor::on_commit(const Event& c, TxState& tx, TxId id) {
   // the std::map-backed write set iterated.)
   ++commits_;
   for (const auto& [obj, value] : tx.writes) {
-    auto& prev_key = current_[obj];
-    if (VersionRec* prev = versions_.find(prev_key.first, prev_key.second)) {
-      prev->close_rank = rank;
-    }
+    versions_.record(current_[obj]).close_rank = rank;
     for (const TxId holder : holders_[obj]) {
-      TxState* h = txs_.find(holder);
-      if (h != nullptr && rank < h->hi) h->hi = rank;
+      // A retired holder's window is never consulted again: skip it.
+      const TxCode* code = txs_.find(holder);
+      if (code == nullptr || *code < kLiveBase) continue;
+      TxState& h = live_[*code - kLiveBase];
+      if (rank < h.hi) h.hi = rank;
     }
     holders_[obj].clear();
 
@@ -317,9 +314,34 @@ bool OnlineCertificateMonitor::on_commit(const Event& c, TxState& tx, TxId id) {
     rec.writer = id;
     rec.open_rank = rank;
     rec.close_rank = kOpen;
-    prev_key = {obj, value};
+    current_[obj] = versions_.index_of(rec);
   }
   return true;
+}
+
+OnlineCertificateMonitor::TxState& OnlineCertificateMonitor::admit(
+    TxCode& code) {
+  std::uint32_t slot = 0;
+  if (free_live_.empty()) {
+    slot = static_cast<std::uint32_t>(live_.size());
+    live_.emplace_back();
+  } else {
+    slot = free_live_.back();
+    free_live_.pop_back();
+  }
+  code = kLiveBase + slot;
+  TxState& tx = live_[slot];
+  tx.birth_rank = resolver_.floor();
+  return tx;
+}
+
+void OnlineCertificateMonitor::retire(TxCode& code, TxState& tx) {
+  // The write set is installed, discarded, or the run is condemned:
+  // recycle any spill storage for the next write-heavy transaction.
+  tx.writes.release(spill_pool_);
+  free_live_.push_back(code - kLiveBase);
+  code = tx.committed ? kCommitted : kEndedUncommitted;
+  tx = TxState{};
 }
 
 bool OnlineCertificateMonitor::feed(const Event& e) {
@@ -329,16 +351,21 @@ bool OnlineCertificateMonitor::feed(const Event& e) {
   }
   if (policy_ == VersionOrderPolicy::kBlindWriteSmart) retained_.append(e);
   cur_tx_ = e.tx;
-  TxState& tx = txs_.get(e.tx);
-  if (!tx.born) {
-    tx.born = true;
-    tx.birth_rank = resolver_.floor();
+  TxCode& code = txs_.get(e.tx);
+  // A retired transaction has no live state; it is in phase kDone, where
+  // every event below fails well-formedness before touching `tx`.
+  TxState* tx = nullptr;
+  if (code == kUnseen) {
+    tx = &admit(code);
+  } else if (code >= kLiveBase) {
+    tx = &live_[code - kLiveBase];
   }
+  const Phase phase = tx != nullptr ? tx->phase : Phase::kDone;
 
   bool ok = true;
   switch (e.kind) {
     case EventKind::kInvoke:
-      if (tx.phase != Phase::kIdle) {
+      if (phase != Phase::kIdle) {
         ok = fail(CertFlagKind::kNotWellFormed,
                   tx_tag(e.tx) + " invoked an operation while not idle (well-formedness)");
       } else if (!model_.contains(e.obj)) {
@@ -346,67 +373,63 @@ bool OnlineCertificateMonitor::feed(const Event& e) {
                   tx_tag(e.tx) + " invoked an operation on unknown object x" +
                   std::to_string(e.obj));
       } else {
-        tx.phase = Phase::kOpPending;
-        tx.pending = e;
+        tx->phase = Phase::kOpPending;
+        tx->pending = e;
       }
       break;
     case EventKind::kResponse:
-      if (tx.phase != Phase::kOpPending || !tx.pending.matches(e)) {
+      if (phase != Phase::kOpPending || !tx->pending.matches(e)) {
         ok = fail(CertFlagKind::kNotWellFormed,
                   tx_tag(e.tx) + " received a response with no matching invocation "
                         "(well-formedness)");
       } else {
-        tx.phase = Phase::kIdle;
+        tx->phase = Phase::kIdle;
         if (search_mode_) {
           // The exact search replaces the register checks, but has_write
           // keeps feeding commits_seen().
-          if (e.op == OpCode::kWrite) tx.has_write = true;
+          if (e.op == OpCode::kWrite) tx->has_write = true;
         } else {
-          ok = on_operation_response(e, tx);
+          ok = on_operation_response(e, *tx);
         }
       }
       break;
     case EventKind::kTryCommit:
-      if (tx.phase != Phase::kIdle) {
+      if (phase != Phase::kIdle) {
         ok = fail(CertFlagKind::kNotWellFormed,
                   tx_tag(e.tx) + " issued tryC while not idle (well-formedness)");
       } else {
-        tx.phase = Phase::kCommitPending;
+        tx->phase = Phase::kCommitPending;
       }
       break;
     case EventKind::kCommit:
-      if (tx.phase != Phase::kCommitPending) {
+      if (phase != Phase::kCommitPending) {
         ok = fail(CertFlagKind::kNotWellFormed,
                   tx_tag(e.tx) + " committed without tryC (well-formedness)");
       } else {
-        tx.phase = Phase::kDone;
         if (search_mode_) {
-          tx.committed = true;
-          if (tx.has_write) ++commits_;
+          tx->committed = true;
+          if (tx->has_write) ++commits_;
         } else {
-          ok = on_commit(e, tx, e.tx);
+          ok = on_commit(e, *tx, e.tx);
         }
-        // The write set is installed (or the run is condemned): recycle
-        // any spill storage for the next write-heavy transaction.
-        tx.writes.release(spill_pool_);
+        retire(code, *tx);
       }
       break;
     case EventKind::kTryAbort:
-      if (tx.phase != Phase::kIdle) {
+      if (phase != Phase::kIdle) {
         ok = fail(CertFlagKind::kNotWellFormed,
                   tx_tag(e.tx) + " issued tryA while not idle (well-formedness)");
       } else {
-        tx.phase = Phase::kAbortPending;
+        tx->phase = Phase::kAbortPending;
       }
       break;
     case EventKind::kAbort:
       // A answers tryA, tryC, or a pending operation invocation.
-      if (tx.phase == Phase::kDone) {
+      if (phase == Phase::kDone) {
         ok = fail(CertFlagKind::kNotWellFormed,
                   tx_tag(e.tx) + " aborted after completing (well-formedness)");
       } else {
-        tx.phase = Phase::kDone;  // aborted: writes never install
-        tx.writes.release(spill_pool_);
+        retire(code, *tx);  // aborted: writes never install
       }
       break;
   }

@@ -162,16 +162,26 @@
 // commit closed a version the committer read, so the window no longer
 // contains the commit rank.
 //
-// HOT-PATH COST MODEL (the PR 5 rebuild). A steady-state event performs
-// ZERO heap allocations and ZERO node-based hash-map probes:
+// HOT-PATH COST MODEL. A steady-state event performs ZERO heap
+// allocations and ZERO node-based hash-map probes, and the state it
+// touches stays small enough to live in cache on long streams:
 //
-//   * per-transaction state lives in a TxId-indexed slab (TxSlab — both
-//     recorders allocate ids densely from 1, so the id is the index; one
-//     bounds check + one vector index per event, growth is geometric and
-//     amortized away entirely by reserve());
+//   * Theorem 2's certificate needs a transaction's snapshot window only
+//     while the transaction is live, and afterwards only its outcome (for
+//     the §5.4 "reads from a committed writer" check). So the full TxState
+//     exists only for LIVE transactions, in a pool whose slots are
+//     recycled at C/A (last retired, first reused). Every TxId maps, in a
+//     TxId-indexed slab (TxSlab — recorder ids are dense, so the id is the
+//     index), to a 4-byte TxCode: unseen, committed, ended without
+//     commit, or the live pool slot. Holder-window updates skip retired
+//     transactions, and any event of a retired transaction fails
+//     well-formedness with the reason its kDone phase implies;
 //   * the (register, value) version namespace is an open-addressing flat
-//     table (VersionTable — records inline, linear probing, no
-//     tombstones since versions are never erased);
+//     table (VersionTable — 16-byte slots over an append-only record
+//     array, linear probing, no tombstones since versions are never
+//     erased; both arrays are zero pages with huge-page advice, so growth
+//     needs no fill pass). Each register's current version is held by
+//     record index, so closing it at an install takes no probe;
 //   * a transaction's executed writes are a sorted SmallWriteSet: inline
 //     up to its capacity, then spilled into vectors RECYCLED through a
 //     per-monitor pool at transaction completion (same ascending-register
@@ -181,14 +191,17 @@
 //     high-water capacity; failure strings are built only when a flag
 //     actually fires.
 //
-// reserve() pre-sizes all of it; tests/core/monitor_alloc_test.cpp feeds
-// 100k+ events under a counting operator-new and asserts literally zero
-// allocations after warm-up for kCommitOrder/kSnapshotRank/kStampedRead.
-// The design follows what production validation engines do to stay O(1)
-// per event (TL2's per-stripe version arrays, NOrec's value-based fast
-// path); behavioral equivalence with the pre-rebuild engine is enforced
-// byte-for-byte (verdict + flagged position) by the conformance and batch
-// differential suites.
+// reserve() pre-sizes all of it and faults its pages in (the live pool up
+// to kLiveReserve concurrently live transactions);
+// tests/core/monitor_alloc_test.cpp feeds 100k+ events under a counting
+// operator-new and asserts literally zero allocations after warm-up for
+// kCommitOrder/kSnapshotRank/kStampedRead, and a logarithmic number
+// without reserve(). The design follows what production validation engines
+// do to stay O(1) per event (TL2's per-stripe version arrays, NOrec's
+// value-based fast path); behavioral equivalence with the pre-rebuild
+// engine is enforced byte-for-byte (verdict + flagged position) by the
+// conformance and batch differential suites, and tests/core/online_test.cpp
+// pins every post-completion flag of a retired transaction.
 //
 // Under kBlindWriteSmart the retained prefix is now kept as an
 // incrementally appended History, and search mode re-verifies each prefix
@@ -301,12 +314,14 @@ class OnlineCertificateMonitor {
     kOpPending,      // operation invoked, response outstanding
     kCommitPending,  // tryC issued
     kAbortPending,   // tryA issued
-    kDone,           // C or A received
+    kDone,           // C or A received (retired: only a TxCode remains)
   };
 
+  /// Full state of a LIVE transaction. Held in a pool whose slots are
+  /// recycled at C/A: once a transaction completes, only its outcome code
+  /// survives (see TxCode).
   struct TxState {
     Phase phase{Phase::kIdle};
-    bool born{false};
     bool committed{false};
     bool has_write{false};      // an executed write exists
     std::size_t birth_rank{0};
@@ -321,6 +336,22 @@ class OnlineCertificateMonitor {
     SmallWriteSet writes;
   };
 
+  /// A transaction's entry in the TxId-indexed slab: its outcome once it
+  /// completed, else kLiveBase + its slot in live_. The default (0) is
+  /// "never seen", as the slab requires. A completed transaction costs
+  /// these 4 bytes and nothing else: the reads-from check needs only
+  /// "committed?", holder updates skip it, and any further event of it
+  /// fails well-formedness (a retired transaction is in phase kDone).
+  using TxCode = std::uint32_t;
+  static constexpr TxCode kUnseen = 0;
+  static constexpr TxCode kCommitted = 1;
+  static constexpr TxCode kEndedUncommitted = 2;  // aborted, or C not certified
+  static constexpr TxCode kLiveBase = 3;
+  static_assert(sizeof(TxCode) <= 4, "a completed transaction costs 4 bytes");
+  /// Live-pool slots reserve() pre-sizes: the high-water number of
+  /// concurrently live transactions a feed may reach allocation-free.
+  static constexpr std::size_t kLiveReserve = 256;
+
   struct VersionRec {
     TxId writer{kNoTx};
     std::size_t open_rank{0};
@@ -328,6 +359,12 @@ class OnlineCertificateMonitor {
   };
 
   bool fail(CertFlagKind kind, const std::string& reason);
+  /// First event of a transaction: take a live-pool slot for it (`code`
+  /// becomes kLiveBase + slot) and record its birth floor.
+  TxState& admit(TxCode& code);
+  /// C or A of the live transaction in `code`'s slot: collapse it to its
+  /// outcome and recycle the slot.
+  void retire(TxCode& code, TxState& tx);
   bool on_operation_response(const Event& e, TxState& tx);
   bool on_commit(const Event& c, TxState& tx, TxId id);
   /// kBlindWriteSmart: called at a would-be repairable flag; tries the §3.6
@@ -355,15 +392,20 @@ class OnlineCertificateMonitor {
   /// extended and tried first on the next one.
   std::vector<TxId> witness_;
   std::optional<OnlineViolation> violation_;
-  /// TxId-indexed transaction slab — the id is the index (dense by
+  /// TxId-indexed outcome/live-slot codes — the id is the index (dense by
   /// construction of both recorders; sparse ids overflow gracefully).
-  TxSlab<TxState> txs_;
+  TxSlab<TxCode> txs_;
+  /// Full states of the live transactions; slots listed in free_live_ are
+  /// recycled (last retired, first reused, so the slot is still cached).
+  std::vector<TxState> live_;
+  std::vector<std::uint32_t> free_live_;
   /// (register, value) -> version record; value-unique writes. Every read
   /// and write resolves against it, so it IS the hot path: an
   /// open-addressing flat table, records inline, no per-probe chasing.
   VersionTable<VersionRec> versions_;
-  /// Register -> key of its current committed version in versions_.
-  std::vector<std::pair<ObjId, Value>> current_;
+  /// Register -> record index (VersionTable::index_of) of its current
+  /// committed version: closing it at the next install takes no probe.
+  std::vector<std::uint32_t> current_;
   /// Register -> live transactions holding the current version in their
   /// window (their hi must shrink when it closes).
   std::vector<std::vector<TxId>> holders_;

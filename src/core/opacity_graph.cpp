@@ -452,7 +452,7 @@ bool verify_opacity_certificate(const History& h, const std::vector<TxId>& order
     for (const auto& rd : txs[k].reads) {
       if (!vis[rd.writer]) {
         if (why != nullptr) {
-          *why = "T" + std::to_string(txs[k].id) + " reads x" +
+          *why = tx_tag(txs[k].id) + " reads x" +
                  std::to_string(rd.obj) + " from non-visible T" +
                  std::to_string(txs[rd.writer].id);
         }
@@ -517,7 +517,7 @@ bool verify_opacity_certificate(const History& h, const std::vector<TxId>& order
         auto lo = std::upper_bound(ranks.begin(), ranks.end(), rank[rd.writer]);
         if (lo != ranks.end() && *lo < rank[m]) {
           if (why != nullptr) {
-            *why = "T" + std::to_string(txs[m].id) + " reads x" +
+            *why = tx_tag(txs[m].id) + " reads x" +
                    std::to_string(rd.obj) + " from T" +
                    std::to_string(txs[rd.writer].id) +
                    " but a visible writer is ranked in between";

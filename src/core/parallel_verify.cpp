@@ -19,8 +19,6 @@ namespace {
 constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 constexpr std::size_t kOpenRank = static_cast<std::size_t>(-1);
 
-[[nodiscard]] std::string tx_tag(TxId tx) { return "T" + std::to_string(tx); }
-
 /// §4 life-cycle, mirroring OnlineCertificateMonitor's state machine.
 enum class TxPhase : std::uint8_t {
   kIdle,

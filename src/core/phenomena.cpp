@@ -149,7 +149,7 @@ std::optional<InconsistentSnapshot> find_inconsistent_snapshot(const History& h)
       out.tx = e.tx;
       out.obj_a = out.obj_b = e.obj;
       out.value_a = out.value_b = e.ret;
-      out.explanation = "T" + std::to_string(e.tx) + " read x" +
+      out.explanation = tx_tag(e.tx) + " read x" +
                         std::to_string(e.obj) + "=" + std::to_string(e.ret) +
                         " from a transaction that never committed";
       return out;
@@ -168,7 +168,7 @@ std::optional<InconsistentSnapshot> find_inconsistent_snapshot(const History& h)
         out.obj_b = e.obj;
         out.value_b = e.ret;
         out.explanation =
-            "T" + std::to_string(e.tx) + " read x" + std::to_string(prev.obj) +
+            tx_tag(e.tx) + " read x" + std::to_string(prev.obj) +
             "=" + std::to_string(prev.value) + " and x" + std::to_string(e.obj) +
             "=" + std::to_string(e.ret) +
             ", versions never simultaneously current";

@@ -53,7 +53,7 @@ ProgressResult check_progressive(const History& h) {
     } else if (result.progressive) {
       result.progressive = false;
       result.violation = ProgressViolation{
-          tx, "T" + std::to_string(tx) +
+          tx, tx_tag(tx) +
                   " was forcefully aborted without any concurrent "
                   "conflicting transaction"};
     }

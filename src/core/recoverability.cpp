@@ -75,7 +75,7 @@ RecoverabilityResult check_recoverability(const History& h) {
     }
     if (commits.at(writer) > commits.at(reader)) {
       result.holds = false;
-      result.reason = "T" + std::to_string(reader) + " committed before T" +
+      result.reason = tx_tag(reader) + " committed before T" +
                       std::to_string(writer) + " it read from";
       return result;
     }
@@ -119,7 +119,7 @@ RecoverabilityResult check_strict_recoverability(const History& h) {
           e.tx != updater) {
         result.holds = false;
         result.reason =
-            "T" + std::to_string(e.tx) + " operated on x" + std::to_string(obj) +
+            tx_tag(e.tx) + " operated on x" + std::to_string(obj) +
             " while updater T" + std::to_string(updater) + " was incomplete";
         return result;
       }

@@ -49,7 +49,7 @@ RigorousResult check_rigorous(const History& h) {
           e.tx != reader && !model.spec(e.obj).is_readonly(e.op)) {
         result.holds = false;
         result.reason =
-            "T" + std::to_string(e.tx) + " updated x" + std::to_string(obj) +
+            tx_tag(e.tx) + " updated x" + std::to_string(obj) +
             " read by incomplete T" + std::to_string(reader);
         return result;
       }

@@ -8,6 +8,16 @@
 
 namespace optm::core {
 
+namespace {
+
+/// Most events the phase-1 buffer reserves up front: the default window.
+/// A larger --window-events still buffers that far, growing past this by
+/// doubling only if the stream really is that long, so an oversized
+/// window cannot turn into an up-front allocation failure.
+constexpr std::size_t kMaxWindowReserve = StreamVerifyOptions{}.window_events;
+
+}  // namespace
+
 StreamVerifyResult verify_event_stream(const ObjectModel& model,
                                        const EventPull& next,
                                        const StreamVerifyOptions& options) {
@@ -16,6 +26,7 @@ StreamVerifyResult verify_event_stream(const ObjectModel& model,
 
   // Phase 1: buffer optimistically, hoping the stream fits the window.
   History buffered(model);
+  buffered.reserve(std::min(window, kMaxWindowReserve));
   std::span<const Event> carry;  // unconsumed remainder of the last pull
   bool exhausted = false;
   while (buffered.size() < window) {

@@ -5,7 +5,9 @@
 // transaction's lifecycle state would silently reset mid-stream.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
+#include <utility>
 
 #include "core/dense_state.hpp"
 
@@ -83,6 +85,66 @@ TEST(VersionTable, FindAndInsertAcrossRehashes) {
   bool inserted = true;
   EXPECT_EQ(table.slot(3, 7, &inserted), 3007);
   EXPECT_FALSE(inserted);
+}
+
+// A probe slot is {value, register, record index} whatever the record
+// type: rehash moves 16 bytes per slot.
+static_assert(sizeof(VersionTable<int>::Slot) == 16);
+static_assert(sizeof(VersionTable<std::array<char, 40>>::Slot) == 16);
+
+TEST(VersionTable, GrowthAcrossSixteenRehashesKeepsEveryRecord) {
+  VersionTable<std::uint64_t> table(1);
+  constexpr std::uint64_t kEntries = 600'000;
+  std::size_t rehashes = 0;
+  std::size_t buckets = table.bucket_count();
+  for (std::uint64_t k = 0; k < kEntries; ++k) {
+    const auto obj = static_cast<ObjId>(k % 7);
+    table.slot(obj, static_cast<Value>(k)) = k * 3 + 1;
+    if (table.bucket_count() != buckets) {
+      ++rehashes;
+      buckets = table.bucket_count();
+    }
+  }
+  EXPECT_GE(rehashes, 16u);
+  EXPECT_EQ(table.size(), kEntries);
+  for (std::uint64_t k = 0; k < kEntries; ++k) {
+    const std::uint64_t* rec =
+        table.find(static_cast<ObjId>(k % 7), static_cast<Value>(k));
+    ASSERT_NE(rec, nullptr) << k;
+    ASSERT_EQ(*rec, k * 3 + 1) << k;
+  }
+  EXPECT_EQ(table.find(1, 0), nullptr);  // key (0, 0) exists, (1, 0) not
+}
+
+TEST(VersionTable, MoveKeepsEveryRecord) {
+  VersionTable<int> table;
+  for (Value v = 0; v < 1000; ++v) table.slot(2, v) = static_cast<int>(v) + 7;
+  VersionTable<int> moved(std::move(table));
+  EXPECT_EQ(moved.size(), 1000u);
+  VersionTable<int> assigned;
+  assigned.slot(5, 5) = 5;
+  assigned = std::move(moved);
+  EXPECT_EQ(assigned.size(), 1000u);
+  EXPECT_EQ(assigned.find(5, 5), nullptr);
+  for (Value v = 0; v < 1000; ++v) {
+    ASSERT_NE(assigned.find(2, v), nullptr);
+    EXPECT_EQ(*assigned.find(2, v), static_cast<int>(v) + 7);
+  }
+  // Still growable after the move.
+  bool inserted = false;
+  assigned.slot(3, 3, &inserted) = 33;
+  EXPECT_TRUE(inserted);
+  EXPECT_EQ(*assigned.find(3, 3), 33);
+}
+
+TEST(VersionTable, ReserveSizesWithoutInserting) {
+  VersionTable<int> table;
+  table.reserve(10'000);
+  EXPECT_GE(table.bucket_count(), 20'000u);
+  EXPECT_EQ(table.size(), 0u);
+  const std::size_t buckets = table.bucket_count();
+  for (Value v = 0; v < 10'000; ++v) table.slot(0, v) = 1;
+  EXPECT_EQ(table.bucket_count(), buckets) << "reserve() was overshot";
 }
 
 TEST(SmallWriteSet, SortedUpsertInlineAndSpilled) {

@@ -200,5 +200,42 @@ TEST(MonitorAllocBatch, IngestAllocatesNothingSteadyState) {
   EXPECT_EQ(after - before, 0u);
 }
 
+/// Without reserve() the dense state grows geometrically: after a short
+/// warm-up, a long feed allocates a number of times logarithmic in its
+/// length (a doubling per growing container), never once per transaction
+/// (a completed transaction keeps only its 4-byte outcome code).
+TEST(MonitorAllocUnreserved, GrowthIsGeometricNotPerTransaction) {
+  constexpr std::size_t kWarmup = 10'000;
+  constexpr std::size_t kMeasured = 100'000;
+  const History h = recorded_history(kWarmup + kMeasured);
+  ASSERT_GE(h.size(), kWarmup + kMeasured) << "workload undershot";
+  const std::span<const Event> events(h.events());
+
+  OnlineCertificateMonitor monitor(h.model(), VersionOrderPolicy::kCommitOrder);
+  (void)monitor.ingest(events.first(kWarmup));
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  const std::span<const Event> rest = events.subspan(kWarmup);
+  std::size_t transactions = 0;
+  for (const Event& e : rest) {
+    if (e.kind == EventKind::kCommit || e.kind == EventKind::kAbort) {
+      ++transactions;
+    }
+    if (!monitor.feed(e)) break;
+  }
+  const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
+
+  EXPECT_TRUE(monitor.ok()) << monitor.violation()->reason;
+  EXPECT_EQ(monitor.events_fed(), h.size());
+  // The growing containers are the transaction slab and, per register, a
+  // holder list: a handful of doublings each over a 10x longer feed.
+  std::size_t log2_events = 0;
+  while ((std::size_t{1} << log2_events) < rest.size()) ++log2_events;
+  const std::uint64_t bound = (h.model().size() + 1) * log2_events;
+  ASSERT_GT(transactions, bound) << "the bound would not tell";
+  EXPECT_LE(after - before, bound)
+      << (after - before) << " allocations over " << rest.size()
+      << " events and " << transactions << " transactions";
+}
+
 }  // namespace
 }  // namespace optm::core

@@ -4,14 +4,17 @@
 // paper's own counterexamples.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "core/builder.hpp"
 #include "core/online.hpp"
 #include "core/paper.hpp"
 #include "core/parallel_verify.hpp"
 #include "core/random_history.hpp"
+#include "core/stream_verify.hpp"
 #include "util/pool.hpp"
 
 namespace optm::core {
@@ -91,6 +94,37 @@ TEST_P(BatchEquivalence, ShardedDriverMatchesStreamingMonitor) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BatchEquivalence,
                          ::testing::Range<std::uint64_t>(1, 61));
+
+TEST(StreamVerify, OversizedWindowIsNotAnUpFrontAllocation) {
+  // The phase-1 buffer reserves at most the default window, so a window
+  // no machine could hold still verifies a short stream instead of
+  // failing to allocate before the first event.
+  const History h = HistoryBuilder::registers(2)
+                        .write(1, 0, 5)
+                        .commit_now(1)
+                        .read(2, 0, 5)
+                        .read(2, 1, 0)
+                        .commit_now(2)
+                        .build();
+  for (const std::size_t window :
+       {std::size_t{2}, std::size_t{1} << 50,
+        std::numeric_limits<std::size_t>::max()}) {
+    bool pulled = false;
+    const EventPull pull = [&]() -> std::span<const Event> {
+      if (pulled) return {};
+      pulled = true;
+      return h.events();
+    };
+    StreamVerifyOptions options;
+    options.window_events = window;
+    StreamVerifyResult r;
+    ASSERT_NO_THROW(r = verify_event_stream(h.model(), pull, options))
+        << window;
+    EXPECT_TRUE(r.certified) << window;
+    EXPECT_EQ(r.events, h.size());
+    EXPECT_EQ(r.used_sharded_driver, window > h.size()) << window;
+  }
+}
 
 TEST(ShardedDriver, CertifiesTheOpaquePaperHistory) {
   const History h5 = paper::fig2_h5();

@@ -238,6 +238,97 @@ TEST(OnlineCertificate, ReadOfNeverInstalledOverwrittenValueFlagged) {
   EXPECT_TRUE(v.has_value());
 }
 
+// --- retired transactions -----------------------------------------------------------
+//
+// A completed transaction keeps only its outcome code. Every later event of
+// it must still fail well-formedness at that event, with the reason the
+// full-state engine gave (kDone answered every event kind), under every
+// policy; and a read of a retired aborted writer's value stays a read from
+// a non-committed transaction.
+
+constexpr VersionOrderPolicy kAllPolicies[] = {
+    VersionOrderPolicy::kCommitOrder, VersionOrderPolicy::kBlindWriteSmart,
+    VersionOrderPolicy::kSnapshotRank, VersionOrderPolicy::kStampedRead};
+
+struct RetiredCase {
+  Event event;
+  const char* reason;
+};
+
+const RetiredCase kRetiredCases[] = {
+    {ev::inv(1, 0, OpCode::kRead),
+     "T1 invoked an operation while not idle (well-formedness)"},
+    {ev::ret(1, 0, OpCode::kRead, 0, 5),
+     "T1 received a response with no matching invocation (well-formedness)"},
+    {ev::try_commit(1), "T1 issued tryC while not idle (well-formedness)"},
+    {ev::commit(1), "T1 committed without tryC (well-formedness)"},
+    {ev::try_abort(1), "T1 issued tryA while not idle (well-formedness)"},
+    {ev::abort(1), "T1 aborted after completing (well-formedness)"},
+};
+
+/// T1 writes x0 := 5 and reads x1, then commits or aborts; a live T2 keeps
+/// running across T1's retirement (its pool slot must not be disturbed).
+[[nodiscard]] History retired_prefix(bool commit) {
+  HistoryBuilder b = HistoryBuilder::registers(2);
+  b.read(2, 1, 0).write(1, 0, 5).read(1, 1, 0);
+  if (commit) {
+    b.commit_now(1);
+  } else {
+    b.abort_now(1);
+  }
+  return b.read(2, 0, commit ? 5 : 0).build();
+}
+
+TEST(OnlineCertificateRetired, EveryEventKindAfterCompletionIsIllFormed) {
+  for (const bool commit : {true, false}) {
+    for (const RetiredCase& c : kRetiredCases) {
+      for (const VersionOrderPolicy policy : kAllPolicies) {
+        History h = retired_prefix(commit);
+        const std::size_t at = h.size();
+        h.append(c.event);
+        OnlineCertificateMonitor m(h.model(), policy);
+        const auto v = run_monitor(m, h);
+        SCOPED_TRACE(std::string(commit ? "committed" : "aborted") + " T1, " +
+                     to_string(c.event) + ", " + to_string(policy));
+        ASSERT_TRUE(v.has_value());
+        EXPECT_EQ(v->pos, at);
+        EXPECT_EQ(v->kind, CertFlagKind::kNotWellFormed);
+        EXPECT_EQ(v->reason, c.reason);
+      }
+    }
+  }
+}
+
+TEST(OnlineCertificateRetired, ReadOfAbortedWritersValueIsNonCommitted) {
+  for (const VersionOrderPolicy policy : kAllPolicies) {
+    const History h = HistoryBuilder::registers(1)
+                          .write(1, 0, 7)
+                          .abort_now(1)
+                          .read(2, 0, 7)
+                          .build();
+    OnlineCertificateMonitor m(h.model(), policy);
+    const auto v = run_monitor(m, h);
+    SCOPED_TRACE(to_string(policy));
+    ASSERT_TRUE(v.has_value());
+    EXPECT_EQ(v->pos, h.size() - 1);
+    EXPECT_EQ(v->kind, CertFlagKind::kReadFromNonCommitted);
+    EXPECT_EQ(v->reason, "T2 read x0=7 from non-committed T1");
+  }
+}
+
+TEST(OnlineCertificateRetired, ManySequentialTransactionsStayClean) {
+  // Thousands of retirements recycle a single pool slot; each reader must
+  // see its committed predecessor's value.
+  HistoryBuilder b = HistoryBuilder::registers(1);
+  for (TxId tx = 1; tx <= 5000; ++tx) {
+    b.read(tx, 0, tx - 1).write(tx, 0, tx).commit_now(tx);
+  }
+  const History h = b.build();
+  OnlineCertificateMonitor m(h.model());
+  EXPECT_FALSE(run_monitor(m, h).has_value());
+  EXPECT_EQ(m.commits_seen(), 5000u);
+}
+
 // --- cross-validation: certificate is SUFFICIENT for opacity ------------------------
 
 class OnlineCrossValidation : public ::testing::TestWithParam<std::uint64_t> {};
