@@ -22,7 +22,7 @@
 //
 // Alignment: the header page is 4 KiB and sizeof(BlockHeader) == 24 with
 // sizeof(Event) == 48 — both multiples of 8 — so every payload starts
-// 8-aligned in the mapping and the reader hands out
+// 8-aligned in the reader's mapping, which hands out
 // `std::span<const core::Event>` views straight over the mmap, zero-copy.
 //
 // Rotation: the writer pre-sizes each segment to `segment_bytes` (so a
@@ -42,20 +42,21 @@
 // bytes dropped; the surviving prefix is still certifiable. The same
 // damage in a non-final segment, or a damaged segment header, is a hard
 // error: certification refuses rather than silently verifying a gapped
-// history (never mis-certify). One pipelined-writer refinement: the
-// writer keeps the NEXT segment pre-created (full-size, all-zero, no
-// header yet) while the current one fills, so a crash can additionally
-// leave ONE trailing headerless file; the reader drops it (and treats a
-// final segment whose header page never hit the disk the same way) —
-// nothing in a headerless file was ever reported durable. Headerless
-// files anywhere but the tail remain hard errors.
+// history (never mis-certify). One refinement for trailing files: a
+// crash between creating a segment (full-size, all-zero) and writing its
+// header page leaves ONE trailing headerless file, and logs written by
+// earlier, pipelined writers (which kept the NEXT segment pre-created
+// while the current one filled) can end in one too. The reader drops it
+// (and treats a final segment whose header page never hit the disk the
+// same way) — nothing in a headerless file was ever reported durable.
+// Headerless files anywhere but the tail remain hard errors.
 //
-// Note (v1 stability): the pipelined writer and the hardware CRC-32C
-// dispatch (util/crc32c.cpp) changed WHO does the syscalls and HOW the
-// checksum is computed, not the bytes: the on-disk layout above and the
-// CRC-32C polynomial (Castagnoli, reflected 0x82F63B78) are unchanged,
-// and pipeline on/off produce byte-identical files (asserted by
-// tests/log/log_pipeline_test.cpp).
+// Note (v1 stability): the layout above and the CRC-32C polynomial
+// (Castagnoli, reflected 0x82F63B78) are the contract. The writer's
+// syscalls and the CRC-32C dispatch (util/crc32c.cpp) may change how the
+// bytes are produced, never which bytes: tests/log/log_recovery_test.cpp
+// asserts the golden layout byte for byte, and logs from earlier writers
+// must keep reading.
 #pragma once
 
 #include <cstddef>

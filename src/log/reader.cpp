@@ -72,12 +72,13 @@ bool SegmentReader::open(const std::string& path, bool allow_torn_tail) {
   }
   std::memcpy(&header_, map_, sizeof header_);
   if (header_.magic == 0 && allow_torn_tail_) {
-    // A final segment whose header page never reached the disk: either a
-    // pipelined writer's prepared-but-unwritten next segment, or a crash
+    // A final segment whose header page never reached the disk: a crash
     // between sizing the file and the header write-back (the kernel may
     // write block pages before the header page, so the rest of the file
-    // is untrustworthy even if nonzero). Nothing here was ever reported
-    // durable — drop the whole file as a torn stub.
+    // is untrustworthy even if nonzero), or the prepared-but-unwritten
+    // next segment that earlier, pipelined writers kept pre-created.
+    // Nothing here was ever reported durable — drop the whole file as a
+    // torn stub.
     dropped_bytes_ = file_bytes_;
     torn_stub_ = true;
     return fail("segment header never written (torn stub)");
@@ -191,9 +192,10 @@ bool LogReader::open(const std::string& directory) {
               const auto bn = std::filesystem::path(b).filename().string();
               return an.size() != bn.size() ? an.size() < bn.size() : an < bn;
             });
-  // The pipelined writer keeps the NEXT segment created (all-zero, no
-  // header yet) while the current one fills, so a crash can leave one
-  // trailing headerless stub AFTER the segment that holds the real tail.
+  // A crash between creating a segment and writing its header leaves a
+  // trailing headerless stub AFTER the segment that holds the real tail
+  // (logs from earlier, pipelined writers, which kept the NEXT segment
+  // pre-created while the current one filled, leave one routinely).
   // Drop that stub up front — otherwise the preceding segment would be
   // opened as non-final and its (legitimate, recoverable) torn tail
   // would hard-fail. Only the LAST file can be such a stub; a headerless

@@ -1,33 +1,27 @@
-// LogWriter: appends drained event batches to an mmap-backed segmented
-// binary log (format.hpp). One writer owns one log directory; segments
-// rotate at the configured capacity and a clean close() truncates the
-// tail segment to its used size.
+// LogWriter: appends drained event batches to a segmented binary log
+// (format.hpp) with plain pwrite. One writer owns one log directory;
+// segments rotate at the configured capacity and a clean close()
+// truncates the tail segment to its used size.
 //
-// Two execution modes, byte-identical output (same files, same bytes):
+// Every step runs on the appending thread:
 //
-//   pipeline=off  — every segment syscall (open/ftruncate/mmap/fsync-dir
-//                   at creation, msync/munmap at rotation) runs inline on
-//                   the appending thread. The original writer.
-//   pipeline=on   — a background prep thread always keeps segment N+1
-//                   created, fallocate'd, mmap'd (pre-faulted) and its
-//                   directory entry fsync'd while N fills, so rotation on
-//                   the append path is a pointer swap plus a 4 KiB header
-//                   write; the sealed segment's msync+munmap is handed to
-//                   the same thread. close() joins all deferred work, so
-//                   the durability guarantee is unchanged: everything the
-//                   writer reported ok is on disk once close() returns
-//                   true, and any deferred write error latches through
-//                   ok()/error() no later than close().
+//   open a segment  — open(O_EXCL), fallocate to the full capacity
+//                     (ftruncate where unsupported), fsync the directory,
+//                     pwrite the 4 KiB header page;
+//   append a block  — pwrite the payload, then its 24-byte block header;
+//   rotate          — fdatasync the full segment inline, so a rotated
+//                     segment is durable as soon as the next one opens;
+//   close()         — ftruncate the tail to its used size, fsync it, and
+//                     fsync the directory once more.
 //
-// Crash-consistency invariants hold in both modes by construction:
-// header page written before blocks, payload before block header, and a
-// segment's directory entry durable before its first block (the prep
-// thread fsyncs the directory before handing a segment over).
+// Everything the writer reported ok is on disk once close() returns true.
+// Crash-consistency invariants hold by construction: a segment's
+// directory entry is durable before its header, the header page is
+// written before any block, and a block's payload before its header.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <string>
 
@@ -52,9 +46,6 @@ struct WriterOptions {
   /// Per-segment capacity (header page included). Clamped up to
   /// kMinSegmentBytes. Default 64 MiB ≈ 1.4M events per segment.
   std::size_t segment_bytes = std::size_t{64} << 20;
-  /// Background segment prep + deferred seal (see the header comment).
-  /// Off reproduces the original fully-synchronous writer byte-for-byte.
-  bool pipeline = true;
   LogMetadata metadata;
 };
 
@@ -71,9 +62,9 @@ class LogWriter {
   /// segments only when it outgrows the remaining capacity).
   bool append(std::span<const core::Event> events);
 
-  /// Seal the log: msync, truncate the tail segment to its used bytes,
-  /// close the mapping (joining any deferred pipeline work first).
-  /// Idempotent. append() after close() fails.
+  /// Seal the log: truncate the tail segment to its used bytes and make
+  /// it and the directory durable. Idempotent. append() after close()
+  /// fails.
   bool close();
 
   [[nodiscard]] bool ok() const noexcept { return error_.empty(); }
@@ -84,47 +75,41 @@ class LogWriter {
   [[nodiscard]] std::uint64_t segments_written() const noexcept { return segments_; }
   [[nodiscard]] std::uint64_t bytes_written() const noexcept { return bytes_written_; }
   /// Directory fsyncs covering the segments this writer filled (one per
-  /// segment made current, one at close): the durability discipline
-  /// regression tests assert on this — an msync'd segment whose DIRECTORY
+  /// segment created, one at close): the durability discipline
+  /// regression tests assert on this — a synced segment whose DIRECTORY
   /// ENTRY is not durable can vanish wholesale in a crash, which recovery
-  /// would misread as non-final damage and hard-fail. In pipelined mode
-  /// the prep thread performs the fsync before the segment is handed
-  /// over; it is counted when the segment becomes current.
+  /// would misread as non-final damage and hard-fail.
   [[nodiscard]] std::uint64_t dir_fsyncs() const noexcept { return dir_fsyncs_; }
 
-  /// Observability for the pipelined mode (zeros when pipeline=off).
+  /// Kept only for the end-to-end benchmark's layer metrics
+  /// (`log.prep_stalls`, `log.flush_lag_peak`). The writer has no
+  /// pipeline: `enabled` is always false and the counters are zero.
   struct PipelineStats {
     bool enabled = false;
-    /// Rotations where the append thread had to WAIT for the prep thread
-    /// (segment N filled before N+1 was ready): sustained nonzero means
-    /// the drain outruns segment preparation.
     std::uint64_t prep_stalls = 0;
-    /// Peak number of sealed segments whose deferred msync had not yet
-    /// completed: how far durability lagged the append front.
     std::uint64_t flush_lag_peak = 0;
   };
-  [[nodiscard]] PipelineStats pipeline_stats() const noexcept;
+  [[nodiscard]] PipelineStats pipeline_stats() const noexcept { return {}; }
 
  private:
-  struct Pipeline;  // the background prep/seal thread (writer.cpp)
-
   bool open_segment();
   bool close_segment(bool truncate_to_used);
   bool sync_directory();
   bool fail(const std::string& what);
-  void write_segment_header();
+  /// fail() naming the syscall, the current segment file and errno.
+  bool fail_io(const char* call);
+  bool write_segment_header();
   /// Events that still fit in the current segment as one more block.
   [[nodiscard]] std::size_t room_events() const noexcept;
-  void put_block(std::span<const core::Event> events);
+  bool put_block(std::span<const core::Event> events);
 
   WriterOptions options_;
   std::string error_;
   bool closed_ = false;
 
-  int fd_ = -1;
+  int fd_ = -1;      // current segment, -1 between segments
   int dir_fd_ = -1;  // the log directory, held open for entry fsyncs
-  unsigned char* map_ = nullptr;  // current segment mapping
-  std::size_t map_bytes_ = 0;
+  std::string path_;  // current segment file, for error messages
   std::size_t used_ = 0;  // bytes written into the current segment
 
   std::uint64_t segments_ = 0;
@@ -132,9 +117,6 @@ class LogWriter {
   std::uint64_t blocks_written_ = 0;
   std::uint64_t bytes_written_ = 0;
   std::uint64_t dir_fsyncs_ = 0;
-  std::uint64_t prep_stalls_ = 0;
-
-  std::unique_ptr<Pipeline> pipe_;
 };
 
 }  // namespace optm::log
