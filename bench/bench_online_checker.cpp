@@ -8,9 +8,8 @@
 //
 // It also measures the RECORDING side of the pipeline: events/second of a
 // live multi-threaded mix with the original single-mutex recorder vs the
-// sharded per-lane recorder (same workload, same run), the batch-ingestion
-// path fed by the sharded recorder's drain(), and the sharded offline
-// verification driver across shard counts.
+// sharded per-lane recorder (same workload, same run), and the
+// batch-ingestion path fed by the sharded recorder's drain().
 #include "bench_common.hpp"
 
 #include <unistd.h>
@@ -22,14 +21,12 @@
 #include <thread>
 
 #include "core/online.hpp"
-#include "core/parallel_verify.hpp"
 #include "log/log_sink.hpp"
 #include "log/writer.hpp"
 #include "stm/recorder.hpp"
 #include "stm/sink.hpp"
 #include "util/cli.hpp"
 #include "util/hash.hpp"
-#include "util/pool.hpp"
 
 namespace optm::bench {
 namespace {
@@ -290,36 +287,6 @@ void BM_BatchCertificateMonitor(benchmark::State& state) {
       benchmark::Counter::kIsIterationInvariantRate);
 }
 
-// --- sharded offline verification ---------------------------------------------
-
-void BM_ParallelOfflineVerify(benchmark::State& state) {
-  const core::History h = recorded_mix(4096);
-  const auto shards = static_cast<std::size_t>(state.range(0));
-  util::ThreadPool pool(shards);
-  bool certified = false;
-  std::string first_flag;
-  for (auto _ : state) {
-    core::ShardVerifyOptions options;
-    options.num_shards = shards;
-    const auto result = core::verify_history_sharded(h, pool, options);
-    certified = result.certified;
-    if (!certified && first_flag.empty() && result.violation.has_value()) {
-      first_flag = "pos " + std::to_string(result.violation->pos) + ": " +
-                   result.violation->reason;
-    }
-    benchmark::DoNotOptimize(certified);
-  }
-  if (!certified) {
-    state.SkipWithError(
-        ("sharded driver flagged an opaque STM's run — " + first_flag).c_str());
-    return;
-  }
-  state.counters["events"] = static_cast<double>(h.size());
-  state.counters["events_per_sec"] = benchmark::Counter(
-      static_cast<double>(h.size()),
-      benchmark::Counter::kIsIterationInvariantRate);
-}
-
 }  // namespace
 
 BENCHMARK(BM_CertificateMonitor)
@@ -401,11 +368,6 @@ BENCHMARK(BM_LiveVerifiedMixTl2WindowFree)
 BENCHMARK(BM_BatchCertificateMonitor)
     ->ArgsProduct({benchmark::CreateRange(1, 4096, 8), {0, 1}})
     ->ArgNames({"batch", "reserve"})
-    ->Unit(benchmark::kMillisecond);
-
-BENCHMARK(BM_ParallelOfflineVerify)
-    ->RangeMultiplier(2)
-    ->Range(1, 8)
     ->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
@@ -539,7 +501,6 @@ constexpr BenchMeta kBenchMeta[] = {
     {"BM_DefinitionalMonitor", "tl2", "definitional", "windowed"},
     // Both reserve legs: BM_BatchCertificateMonitor/batch:<n>/reserve:<0|1>.
     {"BM_BatchCertificateMonitor", "tl2", "commit-order", "windowed"},
-    {"BM_ParallelOfflineVerify", "tl2", "commit-order", "windowed"},
     {"BM_RecordedMixMutex", "tl2", "record-only", "windowed"},
     {"BM_RecordedMixSharded", "tl2", "record-only", "windowed"},
     {"BM_RecordedMixTl2WindowFree", "tl2", "record-only", "window-free"},

@@ -14,14 +14,11 @@
 // printing the comparison matrix the paper develops in prose.
 //
 // `certify-log` streams a durable segmented binary log (written by
-// recorded_soak --log-dir, format: src/log/format.hpp) through the
-// bounded-memory verification front-end (core/stream_verify.hpp): logs
-// that fit --window-events are verified by the sharded parallel driver,
-// larger ones fall over to the serial certificate monitor, so a
-// multi-segment log far larger than RAM certifies with peak memory bounded
-// by the window, with the same verdict and flag position the in-RAM
-// monitor produces. The policy defaults to the one recorded in the segment
-// headers.
+// recorded_soak --log-dir, format: src/log/format.hpp) block by block into
+// one certificate monitor (core/stream_verify.hpp), so a multi-segment log
+// far larger than RAM certifies in the monitor's memory, with the same
+// verdict and flag position the in-RAM monitor produces. The policy
+// defaults to the one recorded in the segment headers.
 //
 // Bare legacy invocations (checker_tool --history=h2) still work: no
 // subcommand means `certify`.
@@ -144,19 +141,11 @@ int cmd_certify(int argc, char** argv) {
 int cmd_certify_log(int argc, char** argv) {
   optm::util::Cli cli("checker_tool certify-log",
                       "stream a segmented binary event log from disk through "
-                      "the bounded-memory certifier");
+                      "the certificate monitor");
   cli.positional("dir", "log directory written by recorded_soak --log-dir");
   cli.flag("policy", "",
            "version-order policy override (default: the policy recorded "
            "in the segment headers)");
-  cli.flag("window-events", std::int64_t{1'048'576},
-           "materialization window: logs up to this many events use the "
-           "sharded parallel driver, larger ones stream through the "
-           "monitor in windows of this size");
-  cli.flag("shards", std::int64_t{4}, "register shards when the sharded driver runs");
-  cli.flag("stream-threads", std::int64_t{1},
-           "sharded-driver threads (0 = auto) for logs that fit the window; "
-           "larger logs stream through the serial monitor and ignore it");
   if (!cli.parse(argc, argv)) return 1;
 
   optm::log::LogReader reader;
@@ -187,10 +176,6 @@ int cmd_certify_log(int argc, char** argv) {
 
   optm::core::StreamVerifyOptions options;
   options.policy = *policy;
-  options.window_events =
-      static_cast<std::size_t>(cli.get_int("window-events"));
-  options.num_shards = static_cast<std::size_t>(cli.get_int("shards"));
-  options.num_threads = static_cast<std::size_t>(cli.get_int("stream-threads"));
   const auto model =
       optm::core::ObjectModel::registers(meta.num_vars, 0);
   const auto result = optm::core::verify_event_stream(
@@ -205,15 +190,6 @@ int cmd_certify_log(int argc, char** argv) {
                 static_cast<unsigned long long>(reader.dropped_bytes()));
   }
   std::printf("certlog.events=%zu\n", result.events);
-  std::printf("certlog.engine=%s\n", result.used_sharded_driver
-                                         ? "sharded-driver"
-                                         : "streaming-monitor");
-  std::printf("certlog.threads=%zu\n", result.threads_used);
-  if (result.used_sharded_driver) {
-    std::printf("certlog.shards=%zu\n", result.shards_used);
-  } else {
-    std::printf("certlog.windows=%zu\n", result.windows);
-  }
   std::printf("certlog.verdict=%s\n",
               result.certified ? "certified" : "FLAGGED");
   if (!result.certified) {

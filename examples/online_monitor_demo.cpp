@@ -11,8 +11,8 @@
 // definitional monitor for comparison, and finally the full recorded-mode
 // pipeline runs at scale: a multi-threaded mix records into the sharded
 // recorder while a verifier thread drains stamp-contiguous batches into
-// the certificate monitor, and the same history is re-checked offline by
-// the sharded parallel driver.
+// the certificate monitor, and the same history is re-checked offline by a
+// second monitor over the recorder's retained history.
 #include <atomic>
 #include <cstdio>
 #include <thread>
@@ -20,7 +20,6 @@
 
 #include "core/online.hpp"
 #include "core/paper.hpp"
-#include "core/parallel_verify.hpp"
 #include "sim/thread_ctx.hpp"
 #include "stm/cli_flags.hpp"
 #include "stm/factory.hpp"
@@ -123,14 +122,12 @@ int main(int argc, char** argv) {
               live_monitor.ok() ? "clean" : "VIOLATION",
               live_monitor.events_fed(), pump_stats.batches);
 
-  // ... and the same history re-verified offline by the sharded parallel
-  // driver (register shards checked concurrently, ranks precomputed).
+  // ... and the same history re-verified offline from the recorder's
+  // retained copy, independently of the drain.
   const optm::core::History big = live_recorder.history();
-  optm::core::ShardVerifyOptions options;
-  options.num_shards = 4;
-  const auto offline = optm::core::verify_history_sharded(big, options);
-  std::printf("sharded offline driver:  %s (%zu events, %zu shards)\n",
-              offline.certified ? "certified" : "FLAGGED", offline.events,
-              offline.shards_used);
+  optm::core::OnlineCertificateMonitor offline(big.model(), flags->policy);
+  (void)offline.ingest(big.events());
+  std::printf("offline re-verification: %s (%zu events)\n",
+              offline.ok() ? "certified" : "FLAGGED", offline.events_fed());
   return 0;
 }

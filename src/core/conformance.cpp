@@ -2,9 +2,6 @@
 
 #include <utility>
 
-#include "core/parallel_verify.hpp"
-#include "util/pool.hpp"
-
 namespace optm::core {
 namespace {
 
@@ -22,35 +19,11 @@ namespace {
   return v;
 }
 
-[[nodiscard]] EngineVerdict driver_verdict(const History& h,
-                                           util::ThreadPool& pool,
-                                           VersionOrderPolicy policy,
-                                           std::size_t shards) {
-  ShardVerifyOptions options;
-  options.policy = policy;
-  options.num_shards = shards;
-  const ParallelVerifyResult result = verify_history_sharded(h, pool, options);
-  EngineVerdict v;
-  v.certified = result.certified;
-  if (!v.certified && result.violation.has_value()) {
-    v.pos = result.violation->pos;
-    v.reason = result.violation->reason;
-    v.kind = result.violation->kind;
-  }
-  return v;
-}
-
-[[nodiscard]] std::string describe(const EngineVerdict& v) {
-  if (v.certified) return "certified";
-  return "flagged at " + std::to_string(v.pos) + " (" + v.reason + ")";
-}
-
 }  // namespace
 
 ConformanceReport check_conformance(const History& h,
                                     const ConformanceOptions& options) {
   ConformanceReport report;
-  util::ThreadPool pool(2);
 
   const auto diverge = [&report](std::string what) {
     if (report.ok) {
@@ -60,35 +33,7 @@ ConformanceReport check_conformance(const History& h,
   };
 
   for (const VersionOrderPolicy policy : options.policies) {
-    PolicyConformance pc;
-    pc.policy = policy;
-    pc.monitor = monitor_verdict(h, policy);
-
-    bool first = true;
-    for (const std::size_t shards : options.shard_counts) {
-      const EngineVerdict d = driver_verdict(h, pool, policy, shards);
-      if (first) {
-        pc.driver = d;
-        first = false;
-      } else if (d.certified != pc.driver.certified ||
-                 (!d.certified && d.pos != pc.driver.pos)) {
-        diverge(std::string("driver disagrees with itself across shard "
-                            "counts under ") +
-                to_string(policy) + ": " + describe(pc.driver) + " vs " +
-                describe(d) + " at " + std::to_string(shards) + " shards");
-      }
-      // Monitor/driver equivalence: verdict always; position except under
-      // kBlindWriteSmart (the engines search different prefixes).
-      if (d.certified != pc.monitor.certified ||
-          (policy != VersionOrderPolicy::kBlindWriteSmart && !d.certified &&
-           d.pos != pc.monitor.pos)) {
-        diverge(std::string("monitor/driver divergence under ") +
-                to_string(policy) + " (" + std::to_string(shards) +
-                " shards): monitor " + describe(pc.monitor) + ", driver " +
-                describe(d));
-      }
-    }
-    report.policies.push_back(std::move(pc));
+    report.policies.push_back({policy, monitor_verdict(h, policy)});
   }
 
   std::string why;

@@ -1,29 +1,29 @@
-// Cross-engine conformance driver — the differential-testing backbone of
-// the window-free recording work.
+// Conformance driver — the differential-testing backbone of the
+// window-free recording work.
 //
-// The repository now has three independent ways to judge one recorded
-// history: the streaming OnlineCertificateMonitor, the sharded offline
-// driver verify_history_sharded, and the exact definitional checker
-// check_opacity — the first two parameterized by a version-order policy
-// (core/version_order.hpp). Each pair owes the others a contract:
+// One recorded history is judged two independent ways: by the certificate
+// monitor OnlineCertificateMonitor under each configured version-order
+// policy (core/version_order.hpp), and by the exact definitional checker
+// check_opacity when the history is small enough for it. They owe each
+// other two contracts:
 //
-//   * per policy, monitor and driver are verdict- AND position-equivalent
-//     (kBlindWriteSmart: verdict only — the two engines search different
-//     prefixes, see parallel_verify.hpp);
-//   * the driver must agree with itself across shard counts;
 //   * soundness: a CERTIFIED verdict under any policy is a Theorem-2
-//     certificate, so the exact checker must answer kYes;
-//   * flag completeness: if the exact checker proves the history
-//     non-opaque, no policy may certify it (a flag may still be
-//     conservative — certificates are sufficient, not necessary).
+//     certificate, so the exact checker must not answer kNo (equivalently:
+//     if the exact checker proves the history non-opaque, every policy
+//     flags it — a flag may still be conservative, certificates are
+//     sufficient, not necessary);
+//   * well-formedness is decided, not certified: a kNotWellFormed flag on
+//     a history the exact checker accepts means the two disagree on §4.
 //
 // check_conformance runs every configured engine over one history and
-// verifies all four contracts, reporting the first divergence in plain
-// text. It is the reusable core of the cross-runtime conformance fuzz
-// suite (tests/core/conformance_fuzz_test.cpp), which feeds it recordings
-// of live runtimes — windowed and window-free — plus the random_*_history
-// generators; it is equally usable from tools (a recorded history that
-// fails conformance is a checker bug by definition, whatever the verdict).
+// verifies both contracts, reporting the first divergence in plain text.
+// It is the reusable core of the cross-runtime conformance fuzz suite
+// (tests/core/conformance_fuzz_test.cpp), which feeds it recordings of live
+// runtimes — windowed and window-free — plus the random_*_history
+// generators; recordings too large for the exact checker are judged there
+// against the recorder's certificate order with verify_opacity_certificate
+// instead. It is equally usable from tools (a recorded history that fails
+// conformance is a checker bug by definition, whatever the verdict).
 #pragma once
 
 #include <cstddef>
@@ -38,12 +38,10 @@
 namespace optm::core {
 
 struct ConformanceOptions {
-  /// Policies to sweep (each runs the monitor and the sharded driver).
+  /// Policies to sweep (each runs one monitor).
   std::vector<VersionOrderPolicy> policies{
       VersionOrderPolicy::kCommitOrder, VersionOrderPolicy::kSnapshotRank,
       VersionOrderPolicy::kStampedRead};
-  /// Shard counts the driver must agree with the monitor (and itself) on.
-  std::vector<std::size_t> shard_counts{1, 3};
   /// Run the exact definitional checker when the history has at most this
   /// many transactions (0 disables it — it is exponential).
   std::size_t exact_max_txs = 10;
@@ -51,7 +49,7 @@ struct ConformanceOptions {
   std::uint64_t exact_max_states = 500'000;
 };
 
-/// One engine's view of the history under one policy.
+/// The monitor's view of the history under one policy.
 struct EngineVerdict {
   bool certified{false};
   std::size_t pos{0};  // first condemned position (valid iff !certified)
@@ -62,14 +60,11 @@ struct EngineVerdict {
 struct PolicyConformance {
   VersionOrderPolicy policy{VersionOrderPolicy::kCommitOrder};
   EngineVerdict monitor;
-  /// The driver's verdict at the FIRST configured shard count (all counts
-  /// are checked for agreement; a mismatch is reported as a divergence).
-  EngineVerdict driver;
 };
 
 struct ConformanceReport {
-  /// Every contract held (monitor≡driver per policy, driver self-agreement
-  /// across shard counts, certified ⟹ exact kYes, exact kNo ⟹ all flag).
+  /// Every contract held (certified ⟹ exact not kNo, and no
+  /// well-formedness flag on an exactly-opaque history).
   bool ok{true};
   /// Human-readable description of the first broken contract.
   std::string divergence;

@@ -40,8 +40,7 @@
 //     installation order (and therefore every verdict and flag position)
 //     is preserved byte for byte.
 //
-// All three are shared by OnlineCertificateMonitor (core/online.hpp) and
-// the sharded offline driver (core/parallel_verify.cpp); the monitor's
+// All three back OnlineCertificateMonitor (core/online.hpp); its
 // reserve() pre-sizes them so a soak-scale feed performs no allocation at
 // all after warm-up (tests/core/monitor_alloc_test.cpp holds it to that
 // under a counting operator-new).

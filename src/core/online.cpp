@@ -98,7 +98,7 @@ bool OnlineCertificateMonitor::fail(CertFlagKind kind,
     // other version orders. Search them before condemning the prefix.
     if (try_retro_order()) return true;
   }
-  violation_ = OnlineViolation{pos_, reason, kind};
+  violation_ = OnlineViolation{pos_, reason, kind, cur_tx_};
   return false;
 }
 
@@ -135,7 +135,7 @@ bool OnlineCertificateMonitor::search_verify() {
       pos_,
       "no bounded smart reordering certifies the prefix (" +
           std::to_string(found.candidates_tried) + " candidate orders tried)",
-      CertFlagKind::kSmartReorderFailed};
+      CertFlagKind::kSmartReorderFailed, cur_tx_};
   return false;
 }
 

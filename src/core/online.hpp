@@ -27,11 +27,11 @@
 //    with their C events.
 //
 // Both backends are single-threaded, and OnlineCertificateMonitor is the
-// one streaming certifier: live drains (stm::MonitorSink), oversized logs
-// (stream_verify.hpp) and network tenants (net/server.hpp) all feed it on
-// the calling thread. A recorded history that fits in RAM can instead go
-// through the sharded offline driver (parallel_verify.hpp), which reaches
-// the same verdict and first condemned position using several cores.
+// one certificate engine: live drains (stm::MonitorSink), recorded
+// histories, logs replayed from disk (stream_verify.hpp) and network
+// tenants (net/server.hpp) all feed it on the calling thread. A flag it
+// raises can be settled against Definition 1 by core::adjudicate
+// (adjudicate.hpp).
 //
 // The committed VERSION ORDER the certificate checks against is no longer
 // hard-wired to the commit (C-record) order: the monitor takes a
@@ -232,6 +232,9 @@ struct OnlineViolation {
   std::string reason;
   /// Structured classification — what adjudication dispatches on.
   CertFlagKind kind{CertFlagKind::kNone};
+  /// Transaction of the condemned event — what the §3.6 search
+  /// prioritizes. Set by OnlineCertificateMonitor; kNoTx elsewhere.
+  TxId tx{kNoTx};
 };
 
 /// Exact streaming monitor: Definition 1 on every response-ended prefix.
@@ -280,8 +283,8 @@ class OnlineCertificateMonitor {
   /// violation handling across the batch. Returns false once a violation
   /// has been latched. Live pipelines usually reach this through
   /// stm::MonitorSink fed by a DrainPump (stm/sink.hpp); the same spans
-  /// also arrive replayed from disk via log::SegmentReader and the
-  /// bounded-memory front-end core::verify_event_stream.
+  /// also arrive replayed from disk via log::LogReader and the pull-based
+  /// front-end core::verify_event_stream (stream_verify.hpp).
   bool ingest(std::span<const Event> batch);
 
   /// Pre-size the dense hot-path state: the transaction slab (expected
@@ -304,6 +307,11 @@ class OnlineCertificateMonitor {
   /// kBlindWriteSmart only: true once a §3.6 retro-ordering was needed (and
   /// found) — the monitor is replaying prefixes in search mode from then on.
   [[nodiscard]] bool retro_ordered() const noexcept { return search_mode_; }
+  /// kBlindWriteSmart only: the §3.6 order that certified the last
+  /// verified prefix (empty until a retro-ordering was needed).
+  [[nodiscard]] const std::vector<TxId>& witness() const noexcept {
+    return witness_;
+  }
 
  private:
   static constexpr std::size_t kOpen = static_cast<std::size_t>(-1);

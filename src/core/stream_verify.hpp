@@ -1,20 +1,13 @@
-// Bounded-memory verification of an event STREAM — the chunked front-end
-// to the offline machinery for recordings that no longer fit in RAM
-// (multi-segment binary logs, log/reader.hpp).
+// Verification of an event STREAM — the pull-based front-end that judges a
+// recording straight from its source (multi-segment binary logs,
+// log/reader.hpp) without materializing it.
 //
-// Strategy: the sharded parallel driver (parallel_verify.hpp) is the
-// strongest checker — multi-threaded, full flag list, definitional
-// fallback, §3.6 smart reorder — but it needs the whole history
-// materialized. The streaming certificate monitor (online.hpp) needs only
-// O(transactions + live versions) state and is verdict- and
-// flag-position-equivalent to the driver (tested by the batch/conformance
-// suites). verify_event_stream therefore buffers the stream into a
-// History while it still fits `window_events`; if the stream ends within
-// the window it runs the sharded driver over the materialized history,
-// otherwise it replays the buffer into one OnlineCertificateMonitor, frees
-// it, and streams the rest through ingest() in window-bounded spans —
-// peak memory is the window plus monitor state, never the history size,
-// and the streaming path always runs on the calling thread.
+// Every pulled span goes into one OnlineCertificateMonitor (online.hpp),
+// constructed once for the whole stream, on the calling thread. Peak memory
+// is the monitor's dense state (a few bytes per transaction and per
+// version, see online.hpp) plus whatever the source hands out per pull —
+// the events themselves are never retained. The verdict and first flagged
+// position are exactly the in-RAM monitor's on the same recording.
 #pragma once
 
 #include <cstddef>
@@ -24,7 +17,6 @@
 
 #include "core/event.hpp"
 #include "core/online.hpp"
-#include "core/parallel_verify.hpp"
 
 namespace optm::core {
 
@@ -36,19 +28,10 @@ using EventPull = std::function<std::span<const Event>()>;
 
 struct StreamVerifyOptions {
   VersionOrderPolicy policy = VersionOrderPolicy::kCommitOrder;
-  /// The materialization window, in events: histories up to this size are
-  /// verified with the sharded parallel driver; longer streams fall over
-  /// to the streaming monitor. Also bounds the span size fed per ingest.
-  std::size_t window_events = std::size_t{1} << 20;
-  /// Sharded-driver concurrency, resolved by resolve_verify_concurrency
-  /// (parallel_verify.hpp — the same "0 = auto" rule as
-  /// ShardVerifyOptions). It applies only when the stream fits the window;
-  /// a longer stream runs the serial monitor and ignores both fields.
+  /// Ignored. Kept only so e2ebench/ compiles; nothing else may use
+  /// them, and they are dropped at the next benchmark revision.
   std::size_t num_shards = 0;
   std::size_t num_threads = 0;
-  /// Monitor pre-sizing hints (events within the bounds allocate nothing).
-  std::size_t reserve_txs = 0;
-  std::size_t reserve_versions = 0;
 };
 
 struct StreamVerifyResult {
@@ -57,18 +40,14 @@ struct StreamVerifyResult {
   /// what the in-RAM monitor latches on the same recording.
   std::optional<OnlineViolation> violation;
   std::size_t events = 0;
-  /// True when the stream fit the window and the sharded driver ran.
-  bool used_sharded_driver = false;
-  std::size_t shards_used = 0;  // sharded driver only
-  /// Worker threads the verification occupied (1 = serial monitor).
-  std::size_t threads_used = 0;
-  /// Number of ingest windows fed on the streaming path.
-  std::size_t windows = 0;
+  /// Always 1 (the monitor runs on the calling thread). Kept only so
+  /// e2ebench/ compiles; nothing else may use it, and it is dropped at
+  /// the next benchmark revision.
+  std::size_t threads_used = 1;
 };
 
-/// Verify a stream of events against the certificate under `policy`, in
-/// memory bounded by `window_events`. The model must be all registers
-/// (as for OnlineCertificateMonitor).
+/// Verify a stream of events against the certificate under `policy`. The
+/// model must be all registers (as for OnlineCertificateMonitor).
 [[nodiscard]] StreamVerifyResult verify_event_stream(
     const ObjectModel& model, const EventPull& next,
     const StreamVerifyOptions& options = {});

@@ -18,8 +18,7 @@
 //     and the VERSION order genuinely diverge.
 //
 // This header turns the rank assignment into a policy object consumed by
-// both certificate engines (the streaming OnlineCertificateMonitor and the
-// sharded offline driver verify_history_sharded):
+// the certificate engine, OnlineCertificateMonitor (online.hpp):
 //
 //   * kCommitOrder   — PR 1's behavior, byte for byte: ranks 1, 2, 3, …
 //     in C-record order; update commits must be current at their rank.
@@ -182,8 +181,8 @@ enum class CertFlagKind : std::uint8_t {
 /// Rank value meaning "still open" / "no rank".
 inline constexpr std::size_t kOpenVersionRank = static_cast<std::size_t>(-1);
 
-/// Streaming serialization-rank assignment — the one shared mechanism under
-/// the monitor and the sharded driver's pass 0. Feed it every committed
+/// Streaming serialization-rank assignment — the mechanism under the
+/// certificate monitor's version order. Feed it every committed
 /// C event in record order; it answers three questions:
 ///
 ///   * update_commit_rank(c): the rank at which the update transaction

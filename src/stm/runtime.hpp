@@ -65,6 +65,17 @@ class WriteSet {
 ///                   decided, or A instead of ret when the op dooms the tx
 ///   commit       -> tryC, then C (after the commit point) or A
 ///   abort (tryA) -> tryA, A
+///
+/// Lock-based runtimes (2PL, glock) add one contract on top: ACQUIRE, THEN
+/// RECORD; RECORD, THEN RELEASE. An operation that takes a lock records its
+/// invocation only once the lock is held (on the failure path: inv, then
+/// A), and C or A is recorded before any lock is released. Otherwise a
+/// waiter's invocation, or a successor's first event, can land in the
+/// history while the previous holder is still incomplete there — a
+/// recorded overlap the runtime never executed. Delaying an invocation is
+/// safe for the §3.6/§5.4 certificates: it only adds real-time edges
+/// (≺_H grows, never shrinks), so it can cause a false flag but never a
+/// false certificate.
 class RuntimeBase : public Stm {
  public:
   explicit RuntimeBase(std::size_t num_vars) noexcept : num_vars_(num_vars) {}

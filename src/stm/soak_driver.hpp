@@ -5,9 +5,10 @@
 // sharded Recorder, a verifier thread pumping stamp-contiguous drained
 // batches through an EventSink chain (live certificate monitor, and
 // optionally any extra sink — e.g. log::LogWriterSink for a durable
-// audit trail), then the sharded offline driver re-verifying the complete
-// history. Options in, structured results out; the example binaries are
-// thin CLI wrappers over this class.
+// audit trail), then an offline certificate monitor re-verifying the
+// complete history the recorder retained, independently of the drain.
+// Options in, structured results out; the example binaries are thin CLI
+// wrappers over this class.
 #pragma once
 
 #include <optional>
@@ -28,11 +29,9 @@ struct SoakOptions {
   std::uint32_t vars = 64;
   std::uint32_t ops_per_tx = 4;
   std::uint64_t seed = 20260730;
-  /// Register shards for the offline re-verification; kept at the CLI
-  /// default. Set offline_verify=false to skip that stage entirely.
-  std::size_t shards = 4;
   /// Certify live with an OnlineCertificateMonitor on the drain thread.
   bool live_monitor = true;
+  /// Re-verify recorder.history() after the run (false skips the stage).
   bool offline_verify = true;
   /// Tee'd into the drain pipeline next to the live monitor (not owned).
   EventSink* extra_sink = nullptr;
@@ -58,7 +57,6 @@ struct SoakResult {
   bool offline_ok = true;
   std::optional<core::OnlineViolation> offline_violation;
   double offline_events_per_sec = 0.0;
-  std::size_t offline_shards = 0;
 
   [[nodiscard]] bool ok() const noexcept {
     return live_ok && sink_ok && offline_ok;

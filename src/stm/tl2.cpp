@@ -101,6 +101,10 @@ bool Tl2Stm::commit(sim::ThreadCtx& ctx) {
       VarMeta& meta = *vars_[order[i].var];
       meta.lock_ver.store(ctx, pack(order[i].version));  // restore, unlock
     }
+    // A blind writer never sampled rv; its abort serializes now, after
+    // every transaction that completed before its first event (rv = 0
+    // would order it before them, against ≺_H).
+    ensure_rv(ctx, slot);
     slot.active = false;
     ++ctx.stats.aborts;
     rec_abort_at_commit(ctx, 2 * slot.rv + 1);

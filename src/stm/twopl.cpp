@@ -123,11 +123,13 @@ void TwoPlStm::release_all(sim::ThreadCtx& ctx, Slot& slot) {
 
 bool TwoPlStm::fail_op(sim::ThreadCtx& ctx) {
   Slot& slot = *slots_[ctx.id()];
+  // Record, then release: A must precede every event a later lock holder
+  // records (see the recording contract in runtime.hpp).
+  rec_abort_mid_op(ctx);
   release_all(ctx, slot);
   slot.ws.clear();
   slot.active = false;
   ++ctx.stats.aborts;
-  rec_abort_mid_op(ctx);
   return false;
 }
 
@@ -136,9 +138,9 @@ bool TwoPlStm::read(sim::ThreadCtx& ctx, VarId var, std::uint64_t& out) {
   Slot& slot = *slots_[ctx.id()];
   if (!slot.active) return false;
   ++ctx.stats.reads;
-  rec_inv(ctx, var, core::OpCode::kRead, 0);
 
   if (const WriteEntry* own = slot.ws.find(var)) {
+    rec_inv(ctx, var, core::OpCode::kRead, 0);
     out = own->value;
     rec_ret(ctx, var, core::OpCode::kRead, 0, out);
     return true;
@@ -147,8 +149,13 @@ bool TwoPlStm::read(sim::ThreadCtx& ctx, VarId var, std::uint64_t& out) {
   if (!holds_read(slot, var) && !holds_write(slot, var)) {
     // Lock acquisition spins OUTSIDE any recorder window: a holder must be
     // able to reach its own window to complete and release.
-    if (!lock_read(ctx, slot, var)) return fail_op(ctx);
+    if (!lock_read(ctx, slot, var)) {
+      rec_inv(ctx, var, core::OpCode::kRead, 0);
+      return fail_op(ctx);
+    }
   }
+  // Acquire, then record: the invocation lands after the lock is held.
+  rec_inv(ctx, var, core::OpCode::kRead, 0);
 
   const RecWindow window = rec_sample_window();
   out = vars_[var]->value.load(ctx);  // stable: shared lock held
@@ -161,11 +168,13 @@ bool TwoPlStm::write(sim::ThreadCtx& ctx, VarId var, std::uint64_t value) {
   Slot& slot = *slots_[ctx.id()];
   if (!slot.active) return false;
   ++ctx.stats.writes;
-  rec_inv(ctx, var, core::OpCode::kWrite, value);
 
-  if (!holds_write(slot, var)) {
-    if (!lock_write(ctx, slot, var)) return fail_op(ctx);
+  if (!holds_write(slot, var) && !lock_write(ctx, slot, var)) {
+    rec_inv(ctx, var, core::OpCode::kWrite, value);
+    return fail_op(ctx);
   }
+  // Acquire, then record: the invocation lands after the lock is held.
+  rec_inv(ctx, var, core::OpCode::kWrite, value);
   slot.ws.upsert(var, value);
   rec_ret(ctx, var, core::OpCode::kWrite, value, 0);
   return true;
@@ -195,11 +204,11 @@ bool TwoPlStm::commit(sim::ThreadCtx& ctx) {
 void TwoPlStm::abort(sim::ThreadCtx& ctx) {
   Slot& slot = *slots_[ctx.id()];
   if (!slot.active) return;
+  rec_voluntary_abort(ctx);  // record, then release
   release_all(ctx, slot);
   slot.ws.clear();
   slot.active = false;
   ++ctx.stats.aborts;
-  rec_voluntary_abort(ctx);
 }
 
 }  // namespace optm::stm

@@ -1,11 +1,10 @@
 // Table-driven coverage of CertFlagKind: every kind's classification
 // (proves_non_opaque / reorder_repairable), a history that provokes it
 // where one is constructible, and — the point of the structured kinds —
-// the sharded driver's definitional fallback dispatching on them: kinds
-// that violate §5.4 consistency short-circuit to kNo WITHOUT running the
-// exponential search, while conservative kinds (the H4
-// reads-from-commit-pending flag included) are adjudicated by the exact
-// checker and may come back kYes.
+// core::adjudicate dispatching on the monitor's flag: kinds that violate
+// §5.4 consistency short-circuit to kNo WITHOUT running the exponential
+// search, while conservative kinds (the H4 reads-from-commit-pending flag
+// included) are adjudicated by the exact checker and may come back kYes.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -13,8 +12,8 @@
 #include <string>
 #include <vector>
 
+#include "core/adjudicate.hpp"
 #include "core/online.hpp"
-#include "core/parallel_verify.hpp"
 #include "core/version_order.hpp"
 
 namespace optm::core {
@@ -213,44 +212,51 @@ TEST(CertFlagDispatch, MonitorRaisesEachConstructibleKind) {
   }
 }
 
-TEST(CertFlagDispatch, FallbackShortCircuitsConsistencyViolatingKinds) {
+TEST(CertFlagDispatch, AdjudicationShortCircuitsConsistencyViolatingKinds) {
   for (const KindCase& c : kind_table()) {
     if (!c.build) continue;
     const History h = c.build();
-    ShardVerifyOptions options;
-    options.policy = c.policy;
-    options.num_shards = 1;
-    options.definitional_fallback = true;
-    const ParallelVerifyResult result = verify_history_sharded(h, options);
-    ASSERT_FALSE(result.certified) << to_string(c.kind);
-    ASSERT_FALSE(result.flags.empty()) << to_string(c.kind);
-    const ShardFlag& flag = result.flags.front();
+    OnlineCertificateMonitor m(h.model(), c.policy);
+    (void)m.ingest(h.events());
+    ASSERT_FALSE(m.ok()) << to_string(c.kind);
+    const OnlineViolation& flag = *m.violation();
     EXPECT_EQ(flag.kind, c.kind) << flag.reason << "\n" << h.str();
+    EXPECT_EQ(flag.tx, h[flag.pos].tx) << to_string(c.kind);
 
-    if (flag.shard == kNoShard) {
-      // Global well-formedness flags have no shard sub-history to
-      // adjudicate; the fallback leaves them kUnknown.
-      EXPECT_EQ(flag.adjudication, Verdict::kUnknown) << to_string(c.kind);
+    const Adjudication a = adjudicate(h, flag.kind);
+    if (flag.kind == CertFlagKind::kNotWellFormed) {
+      // Well-formedness is decided, not certified: the exact checker has
+      // nothing to add, so the adjudicator leaves the flag kUnknown.
+      EXPECT_EQ(a.verdict, Verdict::kUnknown) << to_string(c.kind);
       continue;
     }
     if (proves_non_opaque(c.kind)) {
       // The short-circuit: §5.4 consistency violations adjudicate kNo by
       // dispatch on the kind — the exponential search must not run.
-      EXPECT_EQ(flag.adjudication, Verdict::kNo) << to_string(c.kind);
-      EXPECT_NE(flag.adjudication_reason.find("no search needed"),
-                std::string::npos)
-          << to_string(c.kind) << ": " << flag.adjudication_reason;
+      EXPECT_EQ(a.verdict, Verdict::kNo) << to_string(c.kind);
+      EXPECT_NE(a.reason.find("no search needed"), std::string::npos)
+          << to_string(c.kind) << ": " << a.reason;
     } else {
       // Conservative kinds go to the exact checker; H4 and the version-
       // order claims come back kYes (the flag was a false alarm as far as
       // opacity goes), the genuine violations kNo.
-      EXPECT_EQ(flag.adjudication, c.exact)
-          << to_string(c.kind) << ": " << flag.adjudication_reason;
-      EXPECT_EQ(flag.adjudication_reason.find("no search needed"),
-                std::string::npos)
+      EXPECT_EQ(a.verdict, c.exact) << to_string(c.kind) << ": " << a.reason;
+      EXPECT_EQ(a.reason.find("no search needed"), std::string::npos)
           << to_string(c.kind) << " short-circuited unexpectedly";
     }
   }
+}
+
+TEST(CertFlagDispatch, AdjudicationLeavesOversizedHistoriesUnknown) {
+  // The exact checker is exponential: past max_txs the adjudicator answers
+  // kUnknown without searching, whatever the kind (bar the short-circuit).
+  const History h = not_current_at_commit();
+  AdjudicateOptions small;
+  small.max_txs = 1;
+  EXPECT_EQ(adjudicate(h, CertFlagKind::kNotCurrentAtCommit, small).verdict,
+            Verdict::kUnknown);
+  EXPECT_EQ(adjudicate(h, CertFlagKind::kUnwrittenValue, small).verdict,
+            Verdict::kNo);
 }
 
 }  // namespace

@@ -1,15 +1,17 @@
 // Cross-runtime conformance fuzz: every runtime × every resolver policy ×
-// {streaming monitor, sharded driver, exact check_opacity}, via
-// core::check_conformance (core/conformance.hpp).
+// {certificate monitor, exact check_opacity}, via core::check_conformance
+// (core/conformance.hpp).
 //
 // The acceptance bar of the window-free work lives here: on >= 150 fuzz
 // seeds, a window-free tl2 recording of a deterministic schedule must be
 // BYTE-EQUAL to the windowed recording of the identical schedule (the
-// window changes locking, never content — stamps included), and every
-// engine must return the same verdict and first condemned position on it.
-// Genuinely concurrent window-free runs (where records really drift) must
-// certify under the stamped policies, and corrupted recordings must flag
-// equivalently everywhere.
+// window changes locking, never content — stamps included), and the
+// monitor and the exact checker must agree on it. Genuinely concurrent
+// window-free runs (where records really drift, and the exact checker is
+// out of reach) must certify under the stamped policies AND pass the
+// independent Theorem-2 checker on the recorder's certificate order, and
+// corrupted recordings must flag under exactly the policies that can see
+// the corruption.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -19,6 +21,7 @@
 #include <vector>
 
 #include "core/conformance.hpp"
+#include "core/opacity_graph.hpp"
 #include "core/random_history.hpp"
 #include "sim/thread_ctx.hpp"
 #include "stm/factory.hpp"
@@ -126,8 +129,8 @@ constexpr std::uint64_t kScheduleSeeds = 150;  // the acceptance bar
 
 // The acceptance criterion: window-free tl2 recording of a deterministic
 // schedule is byte-equal to the windowed recording of the identical
-// schedule, and monitor, sharded driver and check_opacity all agree on it
-// under every policy.
+// schedule, and the monitor and check_opacity agree on it under every
+// policy.
 TEST(ConformanceFuzz, WindowFreeTl2MatchesWindowedOnDeterministicSchedules) {
   ConformanceOptions options;
   options.policies = {
@@ -176,7 +179,7 @@ TEST(ConformanceFuzz, WindowFreeTl2MatchesWindowedOnDeterministicSchedules) {
 // must be BYTE-EQUAL for the ownership-record runtimes (dstm, astm — reads
 // stamped with their validation snapshot and CAS-acquired orec version)
 // and for mv (update commits now ticket before validating), and every
-// engine must agree on them under every policy. The write-heavy parameter
+// policy must certify them, as the exact checker does. The write-heavy parameter
 // set drives real contention-manager kills and orec steals through the
 // deterministic interleaving, so the abort paths record too.
 TEST(ConformanceFuzz, WindowFreeOrecAndMvMatchWindowedOnDeterministicSchedules) {
@@ -301,7 +304,7 @@ TEST(ConformanceFuzz, WindowFreeCapabilityMatrix) {
 
 // Corrupted recordings: a lying stamp is caught by kStampedRead (and only
 // by it — the corruption leaves the history opaque), a lying value by
-// every policy, with monitor and driver agreeing throughout.
+// every policy, the exact checker confirming each verdict.
 TEST(ConformanceFuzz, CorruptedWindowFreeRecordingsFlagEquivalently) {
   ConformanceOptions options;
   options.policies = {VersionOrderPolicy::kCommitOrder,
@@ -403,8 +406,8 @@ TEST(ConformanceFuzz, CorruptedWindowFreeRecordingsFlagEquivalently) {
 // orec version word, a replayed stale snapshot stamp (the shape a stolen
 // orec's leftover stamp would take), and the 2·ver wrap attack. Each
 // corruption leaves the history opaque — the lie is in the stamps — so
-// exactly kStampedRead must flag it, every engine agreeing, and the exact
-// checker must still answer kYes.
+// exactly kStampedRead must flag it, and the exact checker must still
+// answer kYes.
 TEST(ConformanceFuzz, CorruptedOrecStampsFlagUnderStampedReadOnly) {
   ConformanceOptions options;
   options.policies = {VersionOrderPolicy::kCommitOrder,
@@ -596,6 +599,13 @@ TEST(ConformanceFuzz, ConcurrentWindowFreeRunsCertifyUnderStampedPolicies) {
             << to_string(pc.policy) << ": flagged at " << pc.monitor.pos
             << ": " << pc.monitor.reason;
       }
+      // The polynomial second engine: the recorder's ≪ must verify as a
+      // Theorem-2 certificate (opacity_graph.hpp), independently of the
+      // monitor's version-order machinery.
+      EXPECT_TRUE(core::verify_opacity_certificate(
+          h, recorder.certificate_order(), {}, &why))
+          << name << (window_free ? " window-free" : " windowed") << ": "
+          << why;
     }
   }
 }
@@ -604,8 +614,8 @@ TEST(ConformanceFuzz, ConcurrentWindowFreeRunsCertifyUnderStampedPolicies) {
 // DrainPump loop: producers record while the pump drains mid-run. The
 // monitor must certify, the pump must see every recorded event exactly
 // once, the recorder's pacing counters must settle (one stamp per event,
-// nothing pending at quiescence), and the offline stack must agree on the
-// assembled history. This test is the TSan surface for Recorder::drain
+// nothing pending at quiescence), and the assembled history must certify
+// offline and pass the independent Theorem-2 checker. This test is the TSan surface for Recorder::drain
 // under concurrency — it rides the conformance_fuzz_test TSan CI job.
 TEST(ConformanceFuzz, ConcurrentWindowFreeRunsCertifyThroughDrainPump) {
   for (const char* name : {"tl2", "dstm"}) {
@@ -657,16 +667,18 @@ TEST(ConformanceFuzz, ConcurrentWindowFreeRunsCertifyThroughDrainPump) {
           << name << " " << to_string(pc.policy) << ": flagged at "
           << pc.monitor.pos << ": " << pc.monitor.reason;
     }
+    EXPECT_TRUE(core::verify_opacity_certificate(
+        h, recorder.certificate_order(), {}, &why))
+        << name << ": " << why;
   }
 }
 
 // --- the random_*_history generators ----------------------------------------
 
 TEST(ConformanceFuzz, RandomHistoriesConformUnderEveryPolicy) {
-  // kBlindWriteSmart is deliberately absent: its monitor and driver search
-  // different prefixes, so on flagged histories even verdicts may diverge
-  // between the bounded searches — its soundness contract is covered by
-  // version_order_test on the §3.6 histories.
+  // kBlindWriteSmart is swept on the recorded schedules above; its §3.6
+  // repair on flagged histories is covered by version_order_test and
+  // stamp_prune_fuzz_test.
   ConformanceOptions options;
   options.policies = {VersionOrderPolicy::kCommitOrder,
                       VersionOrderPolicy::kSnapshotRank,

@@ -2,9 +2,8 @@
 // recorded WITHOUT the exclusive commit window, so C records drift out of
 // stamp order. Every generated history is opaque by construction; the
 // commit-order certificate falsely flags the drifted ones, while the
-// SnapshotRank policy — streaming monitor AND sharded driver — certifies
-// them from the stamps the C/A events carry. The definitional checker
-// adjudicates every verdict.
+// SnapshotRank policy certifies them from the stamps the C/A events carry.
+// The definitional checker adjudicates every verdict.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -12,10 +11,8 @@
 
 #include "core/online.hpp"
 #include "core/opacity.hpp"
-#include "core/parallel_verify.hpp"
 #include "core/random_history.hpp"
 #include "core/version_order.hpp"
-#include "util/pool.hpp"
 
 namespace optm::core {
 namespace {
@@ -45,7 +42,6 @@ constexpr std::uint64_t kSeeds = 150;  // >= 100 histories (acceptance bar)
 }
 
 TEST(MvSnapshotFuzz, SnapshotRankCertifiesWhatCommitOrderFalselyFlags) {
-  util::ThreadPool pool(2);
   std::size_t commit_order_flagged = 0;
 
   for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
@@ -54,36 +50,16 @@ TEST(MvSnapshotFuzz, SnapshotRankCertifiesWhatCommitOrderFalselyFlags) {
     ASSERT_TRUE(h.well_formed(&why)) << "seed " << seed << ": " << why;
 
     // The commit-order policy may flag (the false-flag count is asserted
-    // below); monitor and driver must still agree with each other.
+    // below).
     const auto commit_monitor = feed_all(h, VersionOrderPolicy::kCommitOrder);
-    ShardVerifyOptions commit_options;
-    commit_options.num_shards = 2;
-    const ParallelVerifyResult commit_driver =
-        verify_history_sharded(h, pool, commit_options);
-    ASSERT_EQ(commit_driver.certified, commit_monitor.ok())
-        << "seed " << seed << "\n" << h.str();
-    if (!commit_monitor.ok()) {
-      ++commit_order_flagged;
-      EXPECT_EQ(commit_driver.violation->pos, commit_monitor.violation()->pos)
-          << "seed " << seed;
-    }
+    if (!commit_monitor.ok()) ++commit_order_flagged;
 
-    // SnapshotRank: every history certifies, streaming and sharded alike.
+    // SnapshotRank: every history certifies.
     const auto snap_monitor = feed_all(h, VersionOrderPolicy::kSnapshotRank);
     EXPECT_TRUE(snap_monitor.ok())
         << "seed " << seed << " at " << snap_monitor.violation()->pos << ": "
         << snap_monitor.violation()->reason << "\n"
         << h.str();
-    for (const std::size_t shards : {std::size_t{1}, std::size_t{3}}) {
-      ShardVerifyOptions options;
-      options.policy = VersionOrderPolicy::kSnapshotRank;
-      options.num_shards = shards;
-      const ParallelVerifyResult driver =
-          verify_history_sharded(h, pool, options);
-      EXPECT_EQ(driver.certified, snap_monitor.ok())
-          << "seed " << seed << " shards " << shards
-          << (driver.violation ? "\ndriver: " + driver.violation->reason : "");
-    }
 
     // The exact checker confirms every history really is opaque — the
     // commit-order flags above were false alarms, not bugs slipping by.
@@ -101,7 +77,6 @@ TEST(MvSnapshotFuzz, SnapshotRankCertifiesWhatCommitOrderFalselyFlags) {
 }
 
 TEST(MvSnapshotFuzz, CorruptedHistoriesFlagUnderEveryPolicyAndAreNonOpaque) {
-  util::ThreadPool pool(2);
   std::size_t corrupted = 0;
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {
     History h = random_mv_history(fuzz_params(seed));
@@ -124,14 +99,6 @@ TEST(MvSnapshotFuzz, CorruptedHistoriesFlagUnderEveryPolicyAndAreNonOpaque) {
          {VersionOrderPolicy::kCommitOrder, VersionOrderPolicy::kSnapshotRank}) {
       const auto monitor = feed_all(bad, policy);
       ASSERT_FALSE(monitor.ok()) << "seed " << seed << " " << to_string(policy);
-      ShardVerifyOptions options;
-      options.policy = policy;
-      options.num_shards = 2;
-      const ParallelVerifyResult driver =
-          verify_history_sharded(bad, pool, options);
-      ASSERT_FALSE(driver.certified) << "seed " << seed;
-      EXPECT_EQ(driver.violation->pos, monitor.violation()->pos)
-          << "seed " << seed << " " << to_string(policy);
     }
 
     const OpacityResult exact = check_opacity(bad);

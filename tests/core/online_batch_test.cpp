@@ -1,21 +1,20 @@
-// Batch ingestion and the sharded offline driver must agree with the
+// Batch ingestion and the pull-based stream front-end must agree with the
 // single-event streaming certificate monitor — same verdict, same first
-// condemned position — on fuzzed histories, clean recorded runs, and the
-// paper's own counterexamples.
+// condemned position — on fuzzed histories; the definitional adjudicator
+// settles the paper's own counterexamples.
 #include <gtest/gtest.h>
 
-#include <limits>
+#include <algorithm>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
-#include "core/builder.hpp"
+#include "core/adjudicate.hpp"
 #include "core/online.hpp"
 #include "core/paper.hpp"
-#include "core/parallel_verify.hpp"
 #include "core/random_history.hpp"
 #include "core/stream_verify.hpp"
-#include "util/pool.hpp"
 
 namespace optm::core {
 namespace {
@@ -58,8 +57,7 @@ TEST_P(BatchEquivalence, IngestMatchesFeedForEveryBatchSize) {
   }
 }
 
-TEST_P(BatchEquivalence, ShardedDriverMatchesStreamingMonitor) {
-  util::ThreadPool pool(2);
+TEST_P(BatchEquivalence, StreamVerifyMatchesFeedForEveryPullSize) {
   for (const ValueModel model :
        {ValueModel::kCoherent, ValueModel::kAdversarial}) {
     RandomHistoryParams params;
@@ -71,22 +69,25 @@ TEST_P(BatchEquivalence, ShardedDriverMatchesStreamingMonitor) {
     const History h = random_history(params);
     const auto reference = stream_one_by_one(h);
 
-    for (const std::size_t shards : {std::size_t{1}, std::size_t{2},
-                                     std::size_t{3}}) {
-      ShardVerifyOptions options;
-      options.num_shards = shards;
-      const ParallelVerifyResult result =
-          verify_history_sharded(h, pool, options);
-      EXPECT_EQ(result.certified, !reference.has_value())
-          << "shards=" << shards << "\n"
-          << h.str()
-          << (result.violation ? "\ndriver: " + result.violation->reason : "")
-          << (reference ? "\nmonitor: " + reference->reason : "");
-      if (reference.has_value() && result.violation.has_value()) {
-        EXPECT_EQ(result.violation->pos, reference->pos)
-            << "shards=" << shards << "\ndriver: " << result.violation->reason
-            << "\nmonitor: " << reference->reason << "\n"
-            << h.str();
+    for (const std::size_t pull : {std::size_t{1}, std::size_t{2},
+                                   std::size_t{7}, h.size() + 1}) {
+      const std::span<const Event> events(h.events());
+      std::size_t off = 0;
+      const EventPull next = [&]() -> std::span<const Event> {
+        const std::span<const Event> span =
+            events.subspan(off, std::min(pull, events.size() - off));
+        off += span.size();
+        return span;
+      };
+      const StreamVerifyResult r = verify_event_stream(h.model(), next);
+      EXPECT_EQ(r.certified, !reference.has_value())
+          << "pull=" << pull << "\n" << h.str();
+      EXPECT_EQ(r.events, h.size());
+      ASSERT_EQ(r.violation.has_value(), reference.has_value());
+      if (reference.has_value()) {
+        EXPECT_EQ(r.violation->pos, reference->pos) << "pull=" << pull;
+        EXPECT_EQ(r.violation->kind, reference->kind);
+        EXPECT_EQ(r.violation->tx, reference->tx);
       }
     }
   }
@@ -95,63 +96,22 @@ TEST_P(BatchEquivalence, ShardedDriverMatchesStreamingMonitor) {
 INSTANTIATE_TEST_SUITE_P(Seeds, BatchEquivalence,
                          ::testing::Range<std::uint64_t>(1, 61));
 
-TEST(StreamVerify, OversizedWindowIsNotAnUpFrontAllocation) {
-  // The phase-1 buffer reserves at most the default window, so a window
-  // no machine could hold still verifies a short stream instead of
-  // failing to allocate before the first event.
-  const History h = HistoryBuilder::registers(2)
-                        .write(1, 0, 5)
-                        .commit_now(1)
-                        .read(2, 0, 5)
-                        .read(2, 1, 0)
-                        .commit_now(2)
-                        .build();
-  for (const std::size_t window :
-       {std::size_t{2}, std::size_t{1} << 50,
-        std::numeric_limits<std::size_t>::max()}) {
-    bool pulled = false;
-    const EventPull pull = [&]() -> std::span<const Event> {
-      if (pulled) return {};
-      pulled = true;
-      return h.events();
-    };
-    StreamVerifyOptions options;
-    options.window_events = window;
-    StreamVerifyResult r;
-    ASSERT_NO_THROW(r = verify_event_stream(h.model(), pull, options))
-        << window;
-    EXPECT_TRUE(r.certified) << window;
-    EXPECT_EQ(r.events, h.size());
-    EXPECT_EQ(r.used_sharded_driver, window > h.size()) << window;
-  }
-}
-
-TEST(ShardedDriver, CertifiesTheOpaquePaperHistory) {
+TEST(PaperHistory, TheOpaqueH5Certifies) {
   const History h5 = paper::fig2_h5();
-  const ParallelVerifyResult result = verify_history_sharded(h5);
-  EXPECT_TRUE(result.certified) << (result.violation ? result.violation->reason
-                                                     : "");
+  EXPECT_FALSE(stream_one_by_one(h5).has_value());
 }
 
-TEST(ShardedDriver, FlagsAndAdjudicatesTheNonOpaquePaperHistory) {
+TEST(PaperHistory, TheNonOpaqueH1FlagsAndAdjudicatesNo) {
   const History h1 = paper::fig1_h1();
-  ShardVerifyOptions options;
-  options.num_shards = 1;
-  options.definitional_fallback = true;
-  const ParallelVerifyResult result = verify_history_sharded(h1, options);
-  ASSERT_FALSE(result.certified);
-  ASSERT_FALSE(result.flags.empty());
-  // The streaming monitor condemns the same position.
-  const auto reference = stream_one_by_one(h1);
-  ASSERT_TRUE(reference.has_value());
-  EXPECT_EQ(result.violation->pos, reference->pos);
-  // H1 is genuinely non-opaque, so the exact adjudicator must agree that
-  // the flagged shard's sub-history (here: the whole history) is bad.
-  EXPECT_EQ(result.flags.front().adjudication, Verdict::kNo)
-      << result.flags.front().adjudication_reason;
+  const auto flag = stream_one_by_one(h1);
+  ASSERT_TRUE(flag.has_value());
+  EXPECT_EQ(flag->tx, h1[flag->pos].tx);
+  // H1 is genuinely non-opaque, so the exact adjudicator must agree.
+  const Adjudication a = adjudicate(h1, flag->kind);
+  EXPECT_EQ(a.verdict, Verdict::kNo) << a.reason;
 }
 
-TEST(ShardedDriver, ProjectionKeepsLifecycleOfTouchingTransactions) {
+TEST(Adjudicate, ProjectionKeepsLifecycleOfTouchingTransactions) {
   const History h1 = paper::fig1_h1();
   std::vector<ObjId> all_regs;
   for (ObjId r = 0; r < h1.model().size(); ++r) all_regs.push_back(r);

@@ -20,7 +20,6 @@
 #include <cstddef>
 
 #include "core/online.hpp"
-#include "core/parallel_verify.hpp"
 #include "core/random_history.hpp"
 #include "core/version_order.hpp"
 
@@ -47,22 +46,16 @@ TEST(StampPruneFuzz, PruningPreservesVerdictsAndPrunesHalfTheCandidates) {
   for (std::uint64_t seed = 1; seed <= 150; ++seed) {
     const History h = random_mv_history(drifted_params(seed));
 
-    // Only histories the commit-order certificate flags REPAIRABLY enter
-    // the §3.6 search in production (fail() / the driver's repair gate);
-    // mirror that trigger.
-    ShardVerifyOptions commit_order;
-    commit_order.num_shards = 1;
-    const ParallelVerifyResult flagged =
-        verify_history_sharded(h, commit_order);
-    if (flagged.certified) continue;
-    bool repairable = true;
-    for (const ShardFlag& f : flagged.flags) {
-      repairable = repairable && reorder_repairable(f.kind);
-    }
-    if (!repairable) continue;
+    // Only histories whose FIRST commit-order flag is repairable enter the
+    // §3.6 search in production, prioritizing the flagged transaction
+    // (OnlineCertificateMonitor::fail()); mirror that trigger.
+    OnlineCertificateMonitor commit_order(h.model());
+    if (commit_order.ingest(h.events())) continue;
+    const OnlineViolation& flag = *commit_order.violation();
+    if (!reorder_repairable(flag.kind)) continue;
 
     SmartReorderOptions with_prune;
-    with_prune.prioritize = flagged.flags.front().tx;
+    with_prune.prioritize = flag.tx;
     SmartReorderOptions no_prune = with_prune;
     no_prune.stamp_prune = false;
 
@@ -101,8 +94,8 @@ TEST(StampPruneFuzz, PruningPreservesVerdictsAndPrunesHalfTheCandidates) {
 }
 
 /// The monitor path end-to-end: kBlindWriteSmart streams over drifted
-/// stamped histories, repairing via the (pruned) search; verdicts must
-/// match the unpruned driver repair and the snapshot-rank ground truth.
+/// stamped histories, repairing via the (pruned) search; a certified
+/// verdict must match the snapshot-rank ground truth.
 TEST(StampPruneFuzz, MonitorBlindWriteSmartAgreesWithSnapshotRankOnDrift) {
   std::size_t repaired = 0;
   for (std::uint64_t seed = 1; seed <= 150; ++seed) {

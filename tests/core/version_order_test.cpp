@@ -1,16 +1,16 @@
 // The pluggable version-order layer: §3.6 blind-write histories that the
 // commit-order certificate falsely flags but the BlindWriteSmart policy
 // certifies (cross-checked against the exact definitional monitor),
-// structured reason codes on certificate flags, and policy plumbing through
-// both the streaming monitor and the sharded offline driver.
+// structured reason codes on certificate flags and their definitional
+// adjudication, and policy plumbing through the certificate monitor.
 #include <gtest/gtest.h>
 
 #include <string>
 
+#include "core/adjudicate.hpp"
 #include "core/online.hpp"
 #include "core/opacity.hpp"
 #include "core/paper.hpp"
-#include "core/parallel_verify.hpp"
 #include "core/random_history.hpp"
 #include "core/version_order.hpp"
 
@@ -76,26 +76,22 @@ TEST(BlindWriteSmart, CertifiesWhatCommitOrderFalselyFlags) {
   EXPECT_TRUE(exact.ok()) << exact.violation()->reason;
 }
 
-TEST(BlindWriteSmart, ShardedDriverMatchesMonitorAndYieldsWitnessOrder) {
+TEST(BlindWriteSmart, MonitorYieldsWitnessOrder) {
   const History h = smart_blind_history();
 
-  ShardVerifyOptions commit_order;
-  commit_order.num_shards = 1;
-  const ParallelVerifyResult flagged = verify_history_sharded(h, commit_order);
-  ASSERT_FALSE(flagged.certified);
-  EXPECT_EQ(flagged.flags.front().kind, CertFlagKind::kNotCurrentAtCommit);
-  EXPECT_EQ(flagged.flags.front().tx, 2u);
+  const auto flagged = feed_all(h, VersionOrderPolicy::kCommitOrder);
+  ASSERT_FALSE(flagged.ok());
+  EXPECT_EQ(flagged.violation()->kind, CertFlagKind::kNotCurrentAtCommit);
+  EXPECT_EQ(flagged.violation()->tx, 2u);
+  EXPECT_TRUE(flagged.witness().empty());
 
-  ShardVerifyOptions smart;
-  smart.policy = VersionOrderPolicy::kBlindWriteSmart;
-  smart.num_shards = 1;
-  const ParallelVerifyResult repaired = verify_history_sharded(h, smart);
-  EXPECT_TRUE(repaired.certified);
-  EXPECT_TRUE(repaired.flags.empty());
+  const auto repaired = feed_all(h, VersionOrderPolicy::kBlindWriteSmart);
+  EXPECT_TRUE(repaired.ok());
+  EXPECT_FALSE(repaired.violation().has_value());
   // The witness order serializes the blind-written version of T2 first.
-  ASSERT_EQ(repaired.smart_order.size(), 2u);
-  EXPECT_EQ(repaired.smart_order[0], 2u);
-  EXPECT_EQ(repaired.smart_order[1], 1u);
+  ASSERT_EQ(repaired.witness().size(), 2u);
+  EXPECT_EQ(repaired.witness()[0], 2u);
+  EXPECT_EQ(repaired.witness()[1], 1u);
 }
 
 TEST(BlindWriteSmart, RealTimeOrderStillBlocksTheReordering) {
@@ -115,15 +111,11 @@ TEST(BlindWriteSmart, RealTimeOrderStillBlocksTheReordering) {
   const OpacityResult exact = check_opacity(h);
   EXPECT_EQ(exact.verdict, Verdict::kNo);
 
-  ShardVerifyOptions smart;
-  smart.policy = VersionOrderPolicy::kBlindWriteSmart;
-  smart.num_shards = 1;
-  smart.definitional_fallback = true;
-  const ParallelVerifyResult result = verify_history_sharded(h, smart);
-  EXPECT_FALSE(result.certified);
-  EXPECT_TRUE(result.smart_order.empty());
-  EXPECT_EQ(result.flags.front().adjudication, Verdict::kNo)
-      << result.flags.front().adjudication_reason;
+  const auto smart = feed_all(h, VersionOrderPolicy::kBlindWriteSmart);
+  EXPECT_FALSE(smart.ok());
+  EXPECT_TRUE(smart.witness().empty());
+  const Adjudication a = adjudicate(h, smart.violation()->kind);
+  EXPECT_EQ(a.verdict, Verdict::kNo) << a.reason;
 }
 
 TEST(BlindWriteSmart, PaperBlindOverlappingWritesCertifiesUnderEveryPolicy) {
@@ -146,16 +138,10 @@ TEST(ReasonCodes, ReadFromCommitPendingWriterIsStructured) {
   ASSERT_FALSE(m.ok());
   EXPECT_EQ(m.violation()->kind, CertFlagKind::kReadFromNonCommitted);
 
-  ShardVerifyOptions options;
-  options.num_shards = 1;
-  options.definitional_fallback = true;
-  const ParallelVerifyResult result = verify_history_sharded(h4, options);
-  ASSERT_FALSE(result.certified);
-  EXPECT_EQ(result.flags.front().kind, CertFlagKind::kReadFromNonCommitted);
   // H4 is opaque (the V-set optimization): the conservative flag is
   // adjudicated kYes by the exact checker.
-  EXPECT_EQ(result.flags.front().adjudication, Verdict::kYes)
-      << result.flags.front().adjudication_reason;
+  const Adjudication a = adjudicate(h4, m.violation()->kind);
+  EXPECT_EQ(a.verdict, Verdict::kYes) << a.reason;
 }
 
 TEST(ReasonCodes, ConsistencyViolationsAdjudicateWithoutTheSearch) {
@@ -172,15 +158,9 @@ TEST(ReasonCodes, ConsistencyViolationsAdjudicateWithoutTheSearch) {
   EXPECT_EQ(m.violation()->kind, CertFlagKind::kUnwrittenValue);
   EXPECT_TRUE(proves_non_opaque(m.violation()->kind));
 
-  ShardVerifyOptions options;
-  options.num_shards = 1;
-  options.definitional_fallback = true;
-  const ParallelVerifyResult result = verify_history_sharded(h, options);
-  ASSERT_FALSE(result.certified);
-  EXPECT_EQ(result.flags.front().kind, CertFlagKind::kUnwrittenValue);
-  EXPECT_EQ(result.flags.front().adjudication, Verdict::kNo);
-  EXPECT_NE(result.flags.front().adjudication_reason.find("no search needed"),
-            std::string::npos);
+  const Adjudication a = adjudicate(h, m.violation()->kind);
+  EXPECT_EQ(a.verdict, Verdict::kNo);
+  EXPECT_NE(a.reason.find("no search needed"), std::string::npos);
 }
 
 TEST(ReasonCodes, DefinitionalMonitorTagsItsViolations) {
@@ -216,12 +196,11 @@ TEST(SnapshotRank, DegeneratesToCommitOrderOnUnstampedHistories) {
   }
 }
 
-TEST(SnapshotRank, ReadlessUpdateCommitBelowTheBirthFloorFlagsInBothEngines) {
+TEST(SnapshotRank, ReadlessUpdateCommitBelowTheBirthFloorFlags) {
   // T1 commits an update stamped 2·10 (floor 20); T2 then begins and
   // blind-writes with a stamp BELOW the floor — serializing before a
   // transaction that wholly preceded it. The monitor fires the rank check
-  // at T2's C; the driver must agree even though T2 has no reads (readless
-  // commits never enter the window merge).
+  // at T2's C even though T2 has no reads.
   History h(ObjectModel::registers(2, 0));
   h.append(ev::inv(1, 0, OpCode::kWrite, 1))
       .append(ev::ret(1, 0, OpCode::kWrite, 1, kOk));
@@ -234,14 +213,7 @@ TEST(SnapshotRank, ReadlessUpdateCommitBelowTheBirthFloorFlagsInBothEngines) {
   ASSERT_FALSE(m.ok());
   EXPECT_EQ(m.violation()->kind, CertFlagKind::kNotCurrentAtCommit);
   EXPECT_EQ(m.violation()->pos, h.size() - 1);
-
-  ShardVerifyOptions options;
-  options.policy = VersionOrderPolicy::kSnapshotRank;
-  options.num_shards = 2;
-  const ParallelVerifyResult driver = verify_history_sharded(h, options);
-  ASSERT_FALSE(driver.certified);
-  EXPECT_EQ(driver.violation->pos, m.violation()->pos);
-  EXPECT_EQ(driver.flags.front().kind, CertFlagKind::kNotCurrentAtCommit);
+  EXPECT_EQ(m.violation()->tx, 2u);
 }
 
 TEST(AnchorOrder, MatchesRecorderAnchors) {

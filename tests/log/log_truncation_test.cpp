@@ -162,11 +162,8 @@ void expect_prefix_of_pristine(const ReplayOutcome& out) {
 void certify_never_crashes(const fs::path& dir) {
   log::LogReader reader;
   if (!reader.open(dir.string())) return;
-  core::StreamVerifyOptions options;
-  options.window_events = 512;  // force the streaming-monitor path too
   const auto model = core::ObjectModel::registers(8, 0);
-  (void)core::verify_event_stream(
-      model, [&reader] { return reader.next(); }, options);
+  (void)core::verify_event_stream(model, [&reader] { return reader.next(); });
 }
 
 std::uintmax_t last_file_size() {

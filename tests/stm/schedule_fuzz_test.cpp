@@ -16,7 +16,6 @@
 
 #include "core/online.hpp"
 #include "core/opacity_graph.hpp"
-#include "core/parallel_verify.hpp"
 #include "core/phenomena.hpp"
 #include "sim/thread_ctx.hpp"
 #include "stm/factory.hpp"
@@ -134,8 +133,9 @@ INSTANTIATE_TEST_SUITE_P(
 // MV snapshot-rank fuzz: MvStm at ring depths 2–8 with declared read-only
 // transactions in the mix. The recorded histories stamp serialization
 // points onto their C/A events (2·wv updates, 2·snapshot+1 snapshot
-// transactions); the streaming monitor and the sharded driver must agree —
-// and certify — under the SnapshotRank version-order policy, and the
+// transactions); the certificate monitor must certify them under the
+// SnapshotRank version-order policy, the recorded certificate order must
+// pass the independent Theorem-2 checker, and the
 // deterministic op-granularity schedules stay commit-order-certifiable
 // too (the divergence histories live in core's random_mv_history fuzz,
 // which simulates the window-free recorder this scheduler cannot express).
@@ -145,7 +145,7 @@ class MvSnapshotScheduleFuzz
     : public ::testing::TestWithParam<std::tuple<std::size_t, std::uint64_t>> {
 };
 
-TEST_P(MvSnapshotScheduleFuzz, MonitorAndShardedDriverAgreeUnderSnapshotRank) {
+TEST_P(MvSnapshotScheduleFuzz, MonitorCertifiesUnderSnapshotRank) {
   const auto& [depth, seed] = GetParam();
   MvStm stm(kVars, depth);
   Recorder recorder(kVars);
@@ -204,22 +204,16 @@ TEST_P(MvSnapshotScheduleFuzz, MonitorAndShardedDriverAgreeUnderSnapshotRank) {
   std::string why;
   ASSERT_TRUE(h.well_formed(&why)) << why;
 
-  // SnapshotRank: streaming monitor and sharded driver certify and agree.
+  // SnapshotRank: the certificate monitor certifies.
   core::OnlineCertificateMonitor snap(h.model(),
                                       core::VersionOrderPolicy::kSnapshotRank);
   for (const core::Event& e : h.events()) (void)snap.feed(e);
   EXPECT_TRUE(snap.ok()) << "depth " << depth << " seed " << seed << " at "
                          << snap.violation()->pos << ": "
                          << snap.violation()->reason;
-  core::ShardVerifyOptions options;
-  options.policy = core::VersionOrderPolicy::kSnapshotRank;
-  options.num_shards = 2;
-  options.num_threads = 2;
-  const core::ParallelVerifyResult driver =
-      core::verify_history_sharded(h, options);
-  EXPECT_EQ(driver.certified, snap.ok())
-      << "depth " << depth << " seed " << seed
-      << (driver.violation ? "\ndriver: " + driver.violation->reason : "");
+  EXPECT_TRUE(core::verify_opacity_certificate(h, recorder.certificate_order(),
+                                               {}, &why))
+      << "depth " << depth << " seed " << seed << ": " << why;
 
   // Deterministic op-granularity schedules keep C records in stamp order,
   // so the commit-order monitor must stay clean on them as well.

@@ -7,7 +7,10 @@ in ``_events_per_sec`` are throughputs; ``soak.window_mode`` / ``soak.policy``
 make the artifacts self-describing). This tool diffs the current artifacts
 against the previous nightly's and FAILS (exit 1) when any throughput
 regressed by more than the threshold. An artifact that only one side has
-is listed as a ``new artifact`` or ``dropped artifact`` row.
+is listed as a ``new artifact`` or ``dropped artifact`` row, and a
+throughput key the previous artifact has but the current one lacks as a
+``dropped key`` row (informational, like the artifact rows: a removed
+metric must show in the trend, not vanish from it).
 
 The default threshold is deliberately loose (25%): the CI runners are
 shared single-tenant VMs and the repository's one-core growth box measures
@@ -101,6 +104,9 @@ def main() -> int:
             rows.append((curr_path.name, key,
                          f"{prev[key]:,.0f}", f"{curr[key]:,.0f}",
                          f"{status} ({ratio:.1%} of previous)"))
+        for key in sorted(set(prev) - set(curr)):
+            rows.append((curr_path.name, key, f"{prev[key]:,.0f}", "-",
+                         "dropped key"))
     # A leg that stopped producing its artifact must show in the trend,
     # not vanish from it.
     curr_names = {path.name for path in curr_files}
