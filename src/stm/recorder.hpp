@@ -77,15 +77,30 @@
 //   * MutexRecorder — the original single-mutex engine, kept as the
 //     baseline for benchmarking and as a differential-testing oracle.
 //
-// DRAIN SIDE (the live-verification feed). drain() merges each lane's
-// published prefix directly out of the lanes' stable chunks into a
-// caller-owned, reusable EventBatch — no intermediate per-lane copy, no
-// per-drain allocation: the drain cursors cache the chunk pointers (chunks
-// never move once allocated, so the per-lane spinlock is taken only when a
-// lane has GROWN since the last drain), the k-way merge heap is a reused
-// member, and the batch keeps its high-water capacity across drains. A
-// consumer therefore pays exactly one copy per event, recorder chunk ->
-// batch, for the lifetime of the pipeline.
+// LANE RECORDS. A lane stores each event as a variable-length run of
+// 64-bit words, not a fixed struct: a header word (the 48-bit stamp, the
+// 3-bit kind, the 5-bit op and one presence bit per payload field), a
+// tx|obj word, then only the payload fields (arg, ret, stamp, ver) that
+// are non-zero. A read invocation or tryC is 16 bytes, a write or a
+// stamped C/A 24, a stamped read response 40, and no record exceeds 48 —
+// about 25 bytes per event on the tl2 soak mix, against the 48 of a
+// core::Event. The completion stamp travels on the C/A record itself
+// (Event::stamp), so certificate_order() reads it from there. Lanes grow
+// by 512 KiB chunks mapped pre-faulted straight from the OS and unmapped
+// when the recorder dies; a record never straddles two chunks (a pad
+// header closes a chunk the next record would overflow).
+//
+// DRAIN SIDE (the live-verification feed). drain() k-way merges each
+// lane's published prefix directly out of the lanes' stable chunks,
+// decoding every record straight into a caller-owned, reusable
+// EventBatch — no intermediate per-lane copy, no per-drain allocation:
+// the drain cursors cache the chunk pointers (chunks never move once
+// mapped, so the per-lane spinlock is taken only when a lane has GROWN
+// since the last drain), the merge heap is a reused member, and the batch
+// keeps its high-water capacity across drains. A consumer therefore pays
+// exactly one decode-copy per event, recorder chunk -> batch, for the
+// lifetime of the pipeline. history() and certificate_order() decode
+// through the same merge.
 //
 // CONSUMPTION is decoupled from draining by stm::EventSink (sink.hpp):
 // the DrainPump loop owns the pacing and the reusable batch, and hands
@@ -106,16 +121,21 @@
 // enforce both the convergence and the latency bound).
 #pragma once
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <bit>
 #include <cassert>
 #include <cstdint>
+#include <functional>
+#include <limits>
 #include <memory>
 #include <mutex>
+#include <new>
 #include <set>
 #include <span>
-#include <type_traits>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -130,7 +150,8 @@ namespace optm::stm {
 namespace detail {
 
 /// The certificate ≪: every recorded transaction ordered by its
-/// serialization point, the key (stamp, seq) where
+/// serialization point, the key (stamp, seq), where the stamp is the
+/// Event::stamp its C or A event carries (0 while incomplete) and
 ///   * committed:     (commit stamp, position of its C event) — for
 ///     stamp-0 runtimes that is plain commit-record order;
 ///   * non-committed: (abort stamp,  position of its LAST NON-LOCAL READ
@@ -146,8 +167,7 @@ namespace detail {
 /// (an aborted transaction that completed before a later one began must
 /// precede it in ≪).
 [[nodiscard]] inline std::vector<core::TxId> certificate_order_of(
-    const std::vector<core::Event>& events,
-    const std::unordered_map<core::TxId, std::uint64_t>& stamps) {
+    const std::vector<core::Event>& events) {
   struct Key {
     std::uint64_t stamp = 0;
     std::size_t seq = 0;
@@ -172,11 +192,10 @@ namespace detail {
     } else if (e.kind == core::EventKind::kCommit) {
       k.committed = true;
       k.seq = i;
+      k.stamp = e.stamp;
+    } else if (e.kind == core::EventKind::kAbort) {
+      k.stamp = e.stamp;
     }
-  }
-  for (auto& [tx, k] : keys) {
-    const auto s = stamps.find(tx);
-    if (s != stamps.end()) k.stamp = s->second;
   }
 
   std::vector<core::TxId> order;
@@ -385,19 +404,26 @@ class RecorderBase {
 
 /// The sharded recording engine (the default `Recorder`).
 ///
-/// Each lane is a single-writer chunked buffer: the owning process stamps
-/// the event from one atomic sequence counter, stores it into the current
-/// chunk, and publishes it with a release store of the lane's count — the
-/// hot path is one fetch_add and two plain stores, no lock. (The lane's
-/// spinlock guards only chunk-list growth, once per 4096 events, and
-/// reader snapshots.) A merge by stamp reconstructs the legal
-/// linearization. The stamps of published events are globally contiguous
-/// except for events still in flight on other lanes; drain() (the epoch
-/// merge) therefore consumes exactly the longest stamp-contiguous prefix,
-/// which is a complete, stable prefix of the linearization even while
-/// recording continues — the feed for live batch verification.
+/// Each lane is a single-writer chunked word buffer: the owning process
+/// encodes the event as one variable-length record (see the file header),
+/// stamps it from one atomic sequence counter, and publishes it with a
+/// release store of the lane's word count — the hot path is one fetch_add
+/// and a few plain stores, no lock. (The lane's spinlock guards only
+/// chunk-list growth, once per 512 KiB, and reader snapshots of that
+/// list.) A merge by stamp reconstructs the legal linearization. The
+/// stamps of published events are globally contiguous except for events
+/// still in flight on other lanes; drain() (the epoch merge) therefore
+/// consumes exactly the longest stamp-contiguous prefix, which is a
+/// complete, stable prefix of the linearization even while recording
+/// continues — the feed for live batch verification.
 class Recorder final : public RecorderBase {
  public:
+  /// Size of one lane chunk, mapped pre-faulted from the OS. Smaller
+  /// chunks mean more mmap/munmap calls (128 KiB measured a few percent
+  /// slower e2ebench set-up on a 4-core VM); larger ones a larger unused
+  /// tail in each lane's last chunk.
+  static constexpr std::size_t kChunkBytes = std::size_t{512} << 10;
+
   explicit Recorder(std::size_t num_vars)
       : model_(core::ObjectModel::registers(num_vars, 0)) {}
 
@@ -419,17 +445,14 @@ class Recorder final : public RecorderBase {
   }
   void on_commit(std::uint32_t lane, core::TxId tx,
                  std::uint64_t stamp = 0) override {
-    // The stamp rides on the C event itself (Event::stamp) so offline
-    // consumers (the SnapshotRank version-order policy) see it without the
-    // side table; the side table stays for certificate_order().
-    push(lane, core::ev::commit(tx, stamp), tx, stamp);
+    push(lane, core::ev::commit(tx, stamp));
   }
   void on_try_abort(std::uint32_t lane, core::TxId tx) override {
     push(lane, core::ev::try_abort(tx));
   }
   void on_abort(std::uint32_t lane, core::TxId tx,
                 std::uint64_t stamp = 0) override {
-    push(lane, core::ev::abort(tx, stamp), tx, stamp);
+    push(lane, core::ev::abort(tx, stamp));
   }
 
   void window_enter(WindowKind kind) override {
@@ -451,31 +474,23 @@ class Recorder final : public RecorderBase {
   }
 
   [[nodiscard]] core::History history() const override {
-    std::vector<StampedEvent> all = collect();
     core::History h(model_);
-    for (const StampedEvent& s : all) h.append(s.event);
+    h.reserve(num_events());
+    for_each_recorded([&h](const core::Event& e) { h.append(e); });
     return h;
   }
 
   [[nodiscard]] std::vector<core::TxId> certificate_order() const override {
-    std::vector<StampedEvent> all = collect();
     std::vector<core::Event> events;
-    events.reserve(all.size());
-    for (const StampedEvent& s : all) events.push_back(s.event);
-    std::unordered_map<core::TxId, std::uint64_t> stamps;
-    for (const Lane& lane : lanes_) {
-      const std::lock_guard<util::SpinLock> guard(lane.mu);
-      for (const auto& [tx, stamp] : lane.stamps) stamps[tx] = stamp;
-    }
-    return detail::certificate_order_of(events, stamps);
+    events.reserve(num_events());
+    for_each_recorded([&events](const core::Event& e) { events.push_back(e); });
+    return detail::certificate_order_of(events);
   }
 
+  /// Events stamped so far. Exact in quiescence; during a run it also
+  /// counts the few events whose records are still being written.
   [[nodiscard]] std::size_t num_events() const override {
-    std::size_t n = 0;
-    for (const Lane& lane : lanes_) {
-      n += lane.count.load(std::memory_order_acquire);
-    }
-    return n;
+    return seq_.load(std::memory_order_acquire);
   }
 
   /// Events stamped so far (one stamp is one event) — the ingest-rate
@@ -491,57 +506,41 @@ class Recorder final : public RecorderBase {
            drained_events_.load(std::memory_order_acquire);
   }
 
-  /// Epoch merge: append to `out` every not-yet-drained event whose stamp
-  /// belongs to the contiguous completed prefix of the global stamp
-  /// sequence. Safe to call concurrently with recording (from ONE draining
-  /// thread); events in flight past the first stamp gap stay pending until
-  /// a later drain. A k-way merge over the per-lane chunk cursors (each
-  /// lane is stamp-sorted by construction), copying each event exactly
-  /// once, chunk -> out; the cursors cache the stable chunk pointers, so
-  /// the per-lane spinlock is touched only when a lane grew a new chunk,
-  /// and nothing is allocated once `out` and the cursor caches reach their
-  /// high-water capacity. Returns the number of events appended.
-  std::size_t drain(EventBatch& out) {
+  /// Lane memory holding published records, chunk-closing pads included
+  /// (bytes_used() / num_events() is the mean encoded event size).
+  [[nodiscard]] std::size_t bytes_used() const noexcept {
+    std::size_t words = 0;
+    for (const Lane& lane : lanes_) {
+      words += lane.count.load(std::memory_order_acquire);
+    }
+    return words * sizeof(Word);
+  }
+
+  /// Size of the lane record that encodes `e`: 16 bytes plus 8 per
+  /// non-zero payload field, at most 48.
+  [[nodiscard]] static std::size_t record_bytes(const core::Event& e) noexcept {
+    return record_words(presence(e)) * sizeof(Word);
+  }
+
+  /// Epoch merge: append to `out` the not-yet-drained events whose stamps
+  /// belong to the contiguous completed prefix of the global stamp
+  /// sequence, at most `max_events` of them (the oldest first). Safe to
+  /// call concurrently with recording (from ONE draining thread); events
+  /// in flight past the first stamp gap, or past the bound, stay pending
+  /// until a later drain. A k-way merge over the per-lane chunk cursors
+  /// (each lane is stamp-sorted by construction), decoding each record
+  /// exactly once, chunk -> out; the cursors cache the stable chunk
+  /// pointers, so the per-lane spinlock is touched only when a lane grew a
+  /// new chunk, and nothing is allocated once `out` and the cursor caches
+  /// reach their high-water capacity. Returns the number of events
+  /// appended.
+  std::size_t drain(EventBatch& out,
+                    std::size_t max_events = std::numeric_limits<std::size_t>::max()) {
     const std::lock_guard<std::mutex> guard(merge_mu_);
     if (next_seq_ == seq_.load(std::memory_order_acquire)) return 0;
-    heap_.clear();
-    for (std::size_t l = 0; l < lanes_.size(); ++l) {
-      DrainCursor& cur = cursors_[l];
-      refresh_cursor(l, cur);
-      if (cur.taken < cur.published) {
-        heap_.push_back({stamp_at(cur, cur.taken), l});
-      }
-    }
-    std::make_heap(heap_.begin(), heap_.end(), std::greater<>{});
-
-    std::size_t consumed = 0;
-    while (!heap_.empty() && heap_.front().first == next_seq_) {
-      const std::size_t l = heap_.front().second;
-      std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
-      heap_.pop_back();
-      DrainCursor& cur = cursors_[l];
-      // Consume the lane's whole run of consecutive stamps before going
-      // back to the heap (runs are long when one thread records a burst).
-      // A lane that runs dry is reloaded before it leaves the run, so a
-      // burst still being published keeps feeding it.
-      for (;;) {
-        out.push_back(event_at(cur, cur.taken));
-        ++cur.taken;
-        ++next_seq_;
-        ++consumed;
-        if (cur.taken == cur.published) {
-          refresh_cursor(l, cur);
-          if (cur.taken == cur.published) break;
-        }
-        const std::uint64_t s = stamp_at(cur, cur.taken);
-        if (s != next_seq_) {
-          // This lane's next stamp is not adjacent: park it in the heap.
-          heap_.push_back({s, l});
-          std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
-          break;
-        }
-      }
-    }
+    const std::size_t consumed =
+        merge(cursors_, heap_, next_seq_, max_events, /*live=*/true,
+              [&out](const core::Event& e) { out.push_back(e); });
     drained_events_.store(
         drained_events_.load(std::memory_order_relaxed) + consumed,
         std::memory_order_release);
@@ -553,45 +552,84 @@ class Recorder final : public RecorderBase {
   }
 
  private:
-  struct StampedEvent {
-    std::uint64_t seq = 0;
-    core::Event event;
+  using Word = std::uint64_t;
+  static constexpr std::size_t kChunkWords = kChunkBytes / sizeof(Word);
+
+  // Header word: stamp in bits 0-47, kind in 48-50, op in 51-55, the
+  // presence bits of the payload fields in 56-59.
+  static constexpr unsigned kKindShift = 48;
+  static constexpr unsigned kOpShift = 51;
+  static constexpr unsigned kPresenceShift = 56;
+  static constexpr Word kSeqMask = (Word{1} << kKindShift) - 1;
+  static constexpr unsigned kHasArg = 1;
+  static constexpr unsigned kHasRet = 2;
+  static constexpr unsigned kHasStamp = 4;
+  static constexpr unsigned kHasVer = 8;
+  /// The kind no event has: a header of this kind closes its chunk.
+  static constexpr Word kPadKind = 7;
+  static constexpr Word kPad = kPadKind << kKindShift;
+  static_assert(static_cast<unsigned>(core::EventKind::kAbort) < kPadKind);
+  static_assert(static_cast<unsigned>(core::OpCode::kContains) < 32);
+  static_assert(sizeof(core::TxId) == 4 && sizeof(core::ObjId) == 4);
+
+  [[nodiscard]] static unsigned presence(const core::Event& e) noexcept {
+    return (e.arg != 0 ? kHasArg : 0U) | (e.ret != 0 ? kHasRet : 0U) |
+           (e.stamp != 0 ? kHasStamp : 0U) | (e.ver != 0 ? kHasVer : 0U);
+  }
+  [[nodiscard]] static std::size_t record_words(unsigned present) noexcept {
+    return 2 + static_cast<std::size_t>(std::popcount(present));
+  }
+  [[nodiscard]] static std::uint64_t seq_of(Word header) noexcept {
+    return header & kSeqMask;
+  }
+
+  /// Decode the record at `p` into `e`; returns its length in words.
+  static std::size_t decode(const Word* p, core::Event& e) noexcept {
+    const Word header = p[0];
+    const auto present = static_cast<unsigned>(header >> kPresenceShift) & 0xFU;
+    e.kind = static_cast<core::EventKind>((header >> kKindShift) & 0x7U);
+    e.op = static_cast<core::OpCode>((header >> kOpShift) & 0x1FU);
+    e.tx = static_cast<core::TxId>(p[1] >> 32);
+    e.obj = static_cast<core::ObjId>(p[1]);
+    const Word* w = p + 2;
+    e.arg = (present & kHasArg) != 0 ? static_cast<core::Value>(*w++) : 0;
+    e.ret = (present & kHasRet) != 0 ? static_cast<core::Value>(*w++) : 0;
+    e.stamp = (present & kHasStamp) != 0 ? *w++ : 0;
+    e.ver = (present & kHasVer) != 0 ? *w++ : 0;
+    return static_cast<std::size_t>(w - p);
+  }
+
+  struct ChunkUnmap {
+    void operator()(Word* chunk) const noexcept { ::munmap(chunk, kChunkBytes); }
   };
+  using ChunkPtr = std::unique_ptr<Word, ChunkUnmap>;
 
-  static constexpr std::size_t kChunkSize = 4096;  // events per lane chunk
+  /// A fresh chunk straight from the OS, pre-faulted (MAP_POPULATE), so
+  /// the recording hot path takes no page faults and the memory goes back
+  /// to the OS, not to an allocator arena, when the recorder dies.
+  [[nodiscard]] static ChunkPtr map_chunk() {
+    void* p = ::mmap(nullptr, kChunkBytes, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS | MAP_POPULATE, -1, 0);
+    if (p == MAP_FAILED) throw std::bad_alloc();
+    return ChunkPtr(static_cast<Word*>(p));
+  }
 
-  /// Fixed-size chunk of deliberately UNINITIALIZED slots (zeroing 160KB
-  /// on first use would dwarf short recordings). The publication protocol
-  /// makes this safe: a slot is written before the lane's count covers it,
-  /// and readers never touch slots at or above the count they loaded.
-  struct Chunk {
-    struct Slot {
-      union {
-        StampedEvent value;  // trivially copyable; lifetime starts at store
-      };
-      Slot() noexcept {}  // NOLINT(modernize-use-equals-default): no init
-    };
-    std::array<Slot, kChunkSize> slots;
-  };
-  static_assert(std::is_trivially_copyable_v<StampedEvent>,
-                "the uninitialized-chunk protocol stores into raw union "
-                "slots; a non-trivial StampedEvent would need placement-new");
-
-  /// One per-process single-writer buffer. The owning process is the only
-  /// writer; it publishes each entry with a release store of `count`.
-  /// Readers load `count` (acquire) and may then read any entry below it —
-  /// chunks never move once allocated, so no lock is needed on the hot
-  /// path. The spinlock guards chunk-list growth (once per kChunkSize
-  /// events), reader snapshots of the chunk-pointer list, and the rare
-  /// completion-stamp appends. `tail` is the writer's private cache of the
-  /// current chunk, saving the vector indirection per push. Padded so
-  /// lanes do not false-share.
+  /// One per-process single-writer buffer, addressed by word index (chunk
+  /// c holds words [c·kChunkWords, (c+1)·kChunkWords)). The owning process
+  /// is the only writer; it publishes each record with a release store of
+  /// `count`, the words written so far. Readers load `count` (acquire) and
+  /// may then read any word below it — chunks never move once mapped, so
+  /// no lock is needed on the hot path. The spinlock guards chunk-list
+  /// growth (once per kChunkBytes) and reader snapshots of the
+  /// chunk-pointer list. `tail`/`end` are the writer's private cache of
+  /// the current chunk and the word index one past it. Padded so lanes do
+  /// not false-share.
   struct alignas(64) Lane {
     mutable util::SpinLock mu;
-    std::vector<std::unique_ptr<Chunk>> chunks;
-    Chunk* tail{nullptr};
+    std::vector<ChunkPtr> chunks;
+    Word* tail{nullptr};
+    std::size_t end{0};
     std::atomic<std::size_t> count{0};
-    std::vector<std::pair<core::TxId, std::uint64_t>> stamps;
   };
 
   void push(std::uint32_t lane_id, const core::Event& e) {
@@ -600,67 +638,142 @@ class Recorder final : public RecorderBase {
     // single-writer lane and wedge drain() on a never-published stamp.
     assert(lane_id < sim::kMaxThreads);
     Lane& lane = lanes_[lane_id];
-    const std::size_t i = lane.count.load(std::memory_order_relaxed);
-    if (i == lane.chunks.size() * kChunkSize) {
-      // Default-init (`new Chunk`, not make_unique's value-init `new
-      // Chunk()`): value-initialization zero-fills the whole chunk before
-      // the no-op Slot constructors run — a ~230KB memset every
-      // kChunkSize events that the uninitialized-slot protocol exists to
-      // avoid. Allocated outside the lock.
-      std::unique_ptr<Chunk> chunk(new Chunk);
+    const unsigned present = presence(e);
+    const std::size_t words = record_words(present);
+    std::size_t at = lane.count.load(std::memory_order_relaxed);
+    if (at + words > lane.end) {
+      // The record does not fit: close the chunk with a pad header (unless
+      // it is exactly full) and continue at the start of a fresh one,
+      // mapped outside the lock.
+      if (at < lane.end) lane.tail[at + kChunkWords - lane.end] = kPad;
+      ChunkPtr chunk = map_chunk();
       const std::lock_guard<util::SpinLock> guard(lane.mu);
       lane.tail = chunk.get();
       lane.chunks.push_back(std::move(chunk));
+      at = lane.end;
+      lane.end += kChunkWords;
     }
+    Word* p = lane.tail + (at + kChunkWords - lane.end);
+    p[1] = (Word{e.tx} << 32) | e.obj;
+    Word* w = p + 2;
+    if ((present & kHasArg) != 0) *w++ = static_cast<Word>(e.arg);
+    if ((present & kHasRet) != 0) *w++ = static_cast<Word>(e.ret);
+    if ((present & kHasStamp) != 0) *w++ = e.stamp;
+    if ((present & kHasVer) != 0) *w = e.ver;
     // The stamp is drawn at the instant of recording (inside the caller's
     // window, when one is held): its order is the semantic order. The
     // fetch_add can be relaxed: RMWs on one atomic are totally ordered and
     // happens-before implies modification order, so any cross-thread
     // ordering established by the runtime (or a window) yields ordered
-    // stamps; the release store of `count` is what publishes the slot.
-    // Field-wise stores (not a StampedEvent temporary) keep the compiler
-    // from spilling through a 56-byte memcpy per event.
-    StampedEvent& slot = lane.tail->slots[i % kChunkSize].value;
-    slot.seq = seq_.fetch_add(1, std::memory_order_relaxed);
-    slot.event = e;
-    lane.count.store(i + 1, std::memory_order_release);
-  }
-  void push(std::uint32_t lane_id, const core::Event& e, core::TxId tx,
-            std::uint64_t stamp) {
-    push(lane_id, e);
-    Lane& lane = lanes_[lane_id];
-    const std::lock_guard<util::SpinLock> guard(lane.mu);
-    lane.stamps.emplace_back(tx, stamp);
+    // stamps; the release store of `count` is what publishes the record.
+    const std::uint64_t seq = seq_.fetch_add(1, std::memory_order_relaxed);
+    assert(seq <= kSeqMask);
+    p[0] = seq | (static_cast<Word>(e.kind) << kKindShift) |
+           (static_cast<Word>(e.op) << kOpShift) |
+           (static_cast<Word>(present) << kPresenceShift);
+    lane.count.store(at + words, std::memory_order_release);
   }
 
-  /// Copy the published entries [from, lane.count) of one lane into `out`.
-  static void copy_published(const Lane& lane, std::size_t from,
-                             std::vector<StampedEvent>& out) {
-    const std::size_t n = lane.count.load(std::memory_order_acquire);
-    if (from >= n) return;
-    // Snapshot the chunk pointers under the lock (the writer may grow the
-    // list concurrently); the chunks themselves are stable.
-    std::vector<Chunk*> chunks;
-    {
+  /// Reader-side view of one lane: the word index of the next record, the
+  /// lane's word count when last loaded, and the cached (stable) chunk
+  /// pointers covering it.
+  struct Cursor {
+    std::vector<const Word*> chunks;
+    std::size_t taken = 0;
+    std::size_t published = 0;
+
+    [[nodiscard]] const Word* at(std::size_t i) const noexcept {
+      return chunks[i / kChunkWords] + i % kChunkWords;
+    }
+  };
+  using Cursors = std::array<Cursor, sim::kMaxThreads>;
+  using Heap = std::vector<std::pair<std::uint64_t, std::size_t>>;  // (stamp, lane)
+
+  /// Reload a cursor's published count and (only if the lane grew a chunk)
+  /// extend its chunk-pointer cache under the lane spinlock.
+  void load(std::size_t l, Cursor& cur) const {
+    const Lane& lane = lanes_[l];
+    cur.published = lane.count.load(std::memory_order_acquire);
+    if (cur.published > cur.chunks.size() * kChunkWords) {
       const std::lock_guard<util::SpinLock> guard(lane.mu);
-      chunks.reserve(lane.chunks.size());
-      for (const auto& c : lane.chunks) chunks.push_back(c.get());
-    }
-    for (std::size_t i = from; i < n; ++i) {
-      out.push_back(chunks[i / kChunkSize]->slots[i % kChunkSize].value);
+      for (std::size_t c = cur.chunks.size(); c < lane.chunks.size(); ++c) {
+        cur.chunks.push_back(lane.chunks[c].get());
+      }
     }
   }
 
-  [[nodiscard]] std::vector<StampedEvent> collect() const {
-    std::vector<StampedEvent> all;
-    for (const Lane& lane : lanes_) {
-      copy_published(lane, 0, all);
+  /// The header of the cursor's next record, stepping over a chunk-closing
+  /// pad; nullptr once every loaded word is consumed. A pad is published
+  /// together with the record that starts the next chunk, so the step
+  /// always lands on a published record.
+  [[nodiscard]] static const Word* next_record(Cursor& cur) noexcept {
+    if (cur.taken == cur.published) return nullptr;
+    const Word* p = cur.at(cur.taken);
+    if (((*p >> kKindShift) & 0x7U) == kPadKind) {
+      cur.taken = (cur.taken / kChunkWords + 1) * kChunkWords;
+      p = cur.at(cur.taken);
     }
-    std::sort(all.begin(), all.end(),
-                     [](const StampedEvent& a, const StampedEvent& b) {
-                       return a.seq < b.seq;
-                     });
-    return all;
+    return p;
+  }
+
+  /// k-way merge of the lanes' records by stamp from `cursors` onward,
+  /// decoding at most `max_events` of them into `emit`. `live` (the drain):
+  /// only the stamp-contiguous run starting at `next_seq`, reloading a
+  /// lane that runs dry mid-run so a burst still being published keeps
+  /// feeding it. Otherwise (a snapshot): every loaded record, gaps and
+  /// all. Returns the number of events emitted.
+  template <class Emit>
+  std::size_t merge(Cursors& cursors, Heap& heap, std::uint64_t& next_seq,
+                    std::size_t max_events, bool live, Emit&& emit) const {
+    heap.clear();
+    for (std::size_t l = 0; l < cursors.size(); ++l) {
+      load(l, cursors[l]);
+      if (const Word* p = next_record(cursors[l])) heap.push_back({seq_of(*p), l});
+    }
+    std::make_heap(heap.begin(), heap.end(), std::greater<>{});
+
+    std::size_t emitted = 0;
+    while (emitted < max_events && !heap.empty() &&
+           (!live || heap.front().first == next_seq)) {
+      next_seq = heap.front().first;
+      const std::size_t l = heap.front().second;
+      std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
+      heap.pop_back();
+      Cursor& cur = cursors[l];
+      // Consume the lane's whole run of consecutive stamps before going
+      // back to the heap (runs are long when one thread records a burst).
+      for (;;) {
+        core::Event e;
+        cur.taken += decode(cur.at(cur.taken), e);
+        emit(e);
+        ++next_seq;
+        if (++emitted == max_events) break;
+        const Word* p = next_record(cur);
+        if (p == nullptr && live) {
+          load(l, cur);
+          p = next_record(cur);
+        }
+        if (p == nullptr) break;
+        if (seq_of(*p) != next_seq) {
+          // This lane's next stamp is not adjacent: park it in the heap.
+          heap.push_back({seq_of(*p), l});
+          std::push_heap(heap.begin(), heap.end(), std::greater<>{});
+          break;
+        }
+      }
+    }
+    return emitted;
+  }
+
+  /// Every published event, in stamp order (gaps of in-flight events
+  /// skipped), through a private set of cursors.
+  template <class Emit>
+  void for_each_recorded(Emit&& emit) const {
+    Cursors cursors;
+    Heap heap;
+    std::uint64_t next_seq = 0;
+    (void)merge(cursors, heap, next_seq, std::numeric_limits<std::size_t>::max(),
+                /*live=*/false, emit);
   }
 
   core::ObjectModel model_;
@@ -671,40 +784,10 @@ class Recorder final : public RecorderBase {
   std::atomic<core::TxId> next_tx_{1};
   util::SharedSpinLock window_lock_;
 
-  /// Drain-side view of one lane: consumed count, last loaded published
-  /// count, and the cached (stable) chunk pointers.
-  struct DrainCursor {
-    std::vector<Chunk*> chunks;
-    std::size_t taken = 0;
-    std::size_t published = 0;
-  };
-
-  [[nodiscard]] static std::uint64_t stamp_at(const DrainCursor& cur,
-                                              std::size_t i) noexcept {
-    return cur.chunks[i / kChunkSize]->slots[i % kChunkSize].value.seq;
-  }
-  [[nodiscard]] static const core::Event& event_at(const DrainCursor& cur,
-                                                   std::size_t i) noexcept {
-    return cur.chunks[i / kChunkSize]->slots[i % kChunkSize].value.event;
-  }
-
-  /// Reload a cursor's published count and (only if the lane grew a chunk)
-  /// refresh its chunk-pointer cache under the lane spinlock.
-  void refresh_cursor(std::size_t l, DrainCursor& cur) {
-    cur.published = lanes_[l].count.load(std::memory_order_acquire);
-    if (cur.published > cur.chunks.size() * kChunkSize) {
-      const std::lock_guard<util::SpinLock> lane_guard(lanes_[l].mu);
-      for (std::size_t c = cur.chunks.size(); c < lanes_[l].chunks.size();
-           ++c) {
-        cur.chunks.push_back(lanes_[l].chunks[c].get());
-      }
-    }
-  }
-
   // Epoch-merge cursor state (drain side only, under merge_mu_).
   std::mutex merge_mu_;
-  std::array<DrainCursor, sim::kMaxThreads> cursors_;
-  std::vector<std::pair<std::uint64_t, std::size_t>> heap_;  // (stamp, lane)
+  Cursors cursors_;
+  Heap heap_;
   std::uint64_t next_seq_ = 0;  // first stamp not yet drained
 };
 
@@ -742,7 +825,6 @@ class MutexRecorder final : public RecorderBase {
                  std::uint64_t stamp = 0) override {
     const std::lock_guard<std::recursive_mutex> guard(mu_);
     events_.push_back(core::ev::commit(tx, stamp));
-    stamp_[tx] = stamp;
   }
   void on_try_abort(std::uint32_t /*lane*/, core::TxId tx) override {
     const std::lock_guard<std::recursive_mutex> guard(mu_);
@@ -752,7 +834,6 @@ class MutexRecorder final : public RecorderBase {
                 std::uint64_t stamp = 0) override {
     const std::lock_guard<std::recursive_mutex> guard(mu_);
     events_.push_back(core::ev::abort(tx, stamp));
-    stamp_[tx] = stamp;
   }
 
   void window_enter(WindowKind /*kind*/) override { mu_.lock(); }
@@ -765,7 +846,7 @@ class MutexRecorder final : public RecorderBase {
 
   [[nodiscard]] std::vector<core::TxId> certificate_order() const override {
     const std::lock_guard<std::recursive_mutex> guard(mu_);
-    return detail::certificate_order_of(events_, stamp_);
+    return detail::certificate_order_of(events_);
   }
 
   [[nodiscard]] std::size_t num_events() const override {
@@ -777,7 +858,6 @@ class MutexRecorder final : public RecorderBase {
   mutable std::recursive_mutex mu_;
   core::ObjectModel model_;
   std::vector<core::Event> events_;
-  std::unordered_map<core::TxId, std::uint64_t> stamp_;  // at completion
   core::TxId next_tx_ = 1;
 };
 

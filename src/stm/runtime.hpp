@@ -91,7 +91,7 @@ class RuntimeBase : public Stm {
     window_lock_ = recorder != nullptr ? recorder->window_lock() : nullptr;
     // Devirtualize the per-event hooks for the sharded engine: Recorder is
     // final and header-defined, so calls through a concrete pointer inline
-    // the whole push (stamp draw + slot store) into the runtime's op.
+    // the whole push (record encode + stamp draw) into the runtime's op.
     sharded_ = dynamic_cast<Recorder*>(recorder);
   }
 
@@ -217,31 +217,33 @@ class RuntimeBase : public Stm {
 
   /// A replaces the pending operation response (forceful abort mid-op).
   void rec_abort_mid_op(sim::ThreadCtx& ctx, std::uint64_t stamp = 0) {
-    if (recorder_ != nullptr) {
-      recorder_->on_abort(ctx.id(), rec_tx_[ctx.id()], stamp);
-    }
+    rec_abort(ctx, stamp);
   }
   void rec_try_commit(sim::ThreadCtx& ctx) {
-    if (recorder_ != nullptr) {
+    if (sharded_ != nullptr) {
+      sharded_->on_try_commit(ctx.id(), rec_tx_[ctx.id()]);
+    } else if (recorder_ != nullptr) {
       recorder_->on_try_commit(ctx.id(), rec_tx_[ctx.id()]);
     }
   }
   void rec_commit(sim::ThreadCtx& ctx, std::uint64_t stamp = 0) {
-    if (recorder_ != nullptr) {
+    if (sharded_ != nullptr) {
+      sharded_->on_commit(ctx.id(), rec_tx_[ctx.id()], stamp);
+    } else if (recorder_ != nullptr) {
       recorder_->on_commit(ctx.id(), rec_tx_[ctx.id()], stamp);
     }
   }
   /// A answering tryC (commit failed).
   void rec_abort_at_commit(sim::ThreadCtx& ctx, std::uint64_t stamp = 0) {
-    if (recorder_ != nullptr) {
-      recorder_->on_abort(ctx.id(), rec_tx_[ctx.id()], stamp);
-    }
+    rec_abort(ctx, stamp);
   }
   void rec_voluntary_abort(sim::ThreadCtx& ctx, std::uint64_t stamp = 0) {
-    if (recorder_ != nullptr) {
+    if (sharded_ != nullptr) {
+      sharded_->on_try_abort(ctx.id(), rec_tx_[ctx.id()]);
+    } else if (recorder_ != nullptr) {
       recorder_->on_try_abort(ctx.id(), rec_tx_[ctx.id()]);
-      recorder_->on_abort(ctx.id(), rec_tx_[ctx.id()], stamp);
     }
+    rec_abort(ctx, stamp);
   }
 
   std::size_t num_vars_;
@@ -258,6 +260,14 @@ class RuntimeBase : public Stm {
   bool window_free_supported_ = false;
 
  private:
+  void rec_abort(sim::ThreadCtx& ctx, std::uint64_t stamp) {
+    if (sharded_ != nullptr) {
+      sharded_->on_abort(ctx.id(), rec_tx_[ctx.id()], stamp);
+    } else if (recorder_ != nullptr) {
+      recorder_->on_abort(ctx.id(), rec_tx_[ctx.id()], stamp);
+    }
+  }
+
   bool window_free_ = false;
   std::array<core::TxId, sim::kMaxThreads> rec_tx_{};
 };

@@ -194,8 +194,11 @@ class DrainPump {
 
   DrainPump(Recorder& recorder, EventSink& sink,
             const AdaptiveDrainPacer::Options& pacing = {})
-      : recorder_(&recorder), sink_(&sink), pacer_(pacing) {
-    batch_.reserve(pacing.max_pending);
+      : recorder_(&recorder),
+        sink_(&sink),
+        pacer_(pacing),
+        max_batch_(std::max<std::size_t>(1, pacing.max_pending)) {
+    batch_.reserve(max_batch_);
   }
 
   [[nodiscard]] Stats run(const std::atomic<bool>& done) {
@@ -216,8 +219,11 @@ class DrainPump {
       if (pacer_.should_drain(recorder_->stamps_issued(),
                               recorder_->approx_pending()) ||
           finished) {
+        // Bounded by the latency bound: a pump that fell behind catches
+        // up in max_pending-sized batches on back-to-back polls instead of
+        // growing one batch to the whole backlog.
         batch_.clear();
-        recorder_->drain(batch_);
+        recorder_->drain(batch_, max_batch_);
         pacer_.on_drain();
         idle_polls = 0;
         sleep = kMinSleep;
@@ -249,6 +255,7 @@ class DrainPump {
   Recorder* recorder_;
   EventSink* sink_;
   AdaptiveDrainPacer pacer_;
+  std::size_t max_batch_;
   EventBatch batch_;
 };
 

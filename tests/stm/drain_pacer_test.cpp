@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <vector>
 
 #include "core/online.hpp"
 #include "stm/recorder.hpp"
@@ -205,6 +206,55 @@ TEST(AdaptiveDrainPipeline, ViolationDetectionLatencyStaysUnderBound) {
   EXPECT_LE(detected_at - violation_stamp,
             options.max_pending + kStampsPerPoll)
       << "verdict latency exceeded the configured bound";
+}
+
+TEST(AdaptiveDrainPipeline, BoundedDrainLeavesTheRestPending) {
+  // drain(out, max_events) takes the oldest max_events of the backlog and
+  // leaves the rest pending for the next poll, so a pump that fell behind
+  // never builds a batch larger than its latency bound.
+  Recorder recorder(4);
+  core::Value next = 1;
+  for (int t = 0; t < 100; ++t) {
+    push_writer(recorder, static_cast<VarId>(t % 4), next++);
+  }
+  const std::vector<core::Event> expected = recorder.history().events();
+  ASSERT_EQ(expected.size(), 400u);
+
+  EventBatch batch;
+  std::vector<core::Event> drained;
+  for (std::size_t round = 0; round < 4; ++round) {
+    batch.clear();
+    ASSERT_EQ(recorder.drain(batch, 128), std::min<std::size_t>(128, 400 - 128 * round));
+    EXPECT_EQ(recorder.approx_pending(), 400 - drained.size() - batch.size());
+    drained.insert(drained.end(), batch.begin(), batch.end());
+  }
+  batch.clear();
+  EXPECT_EQ(recorder.drain(batch, 128), 0u);
+  EXPECT_EQ(drained, expected);
+
+  // A bounded pacer-driven loop certifies the same stream: the monitor
+  // sees every event once, in order.
+  Recorder live(4);
+  core::OnlineCertificateMonitor monitor(live.model());
+  Options options;
+  options.max_pending = 64;
+  AdaptiveDrainPacer pacer(options);
+  for (int t = 0; t < 500; ++t) {
+    push_writer(live, static_cast<VarId>(t % 4), next++);
+    if (pacer.should_drain(live.stamps_issued(), live.approx_pending())) {
+      batch.clear();
+      EXPECT_LE(live.drain(batch, options.max_pending), options.max_pending);
+      pacer.on_drain();
+      (void)monitor.ingest(batch.span());
+    }
+  }
+  while (live.approx_pending() > 0) {
+    batch.clear();
+    EXPECT_LE(live.drain(batch, options.max_pending), options.max_pending);
+    (void)monitor.ingest(batch.span());
+  }
+  EXPECT_TRUE(monitor.ok());
+  EXPECT_EQ(monitor.events_fed(), live.num_events());
 }
 
 TEST(AdaptiveDrainPipeline, BatchCapacityStabilizesAcrossDrains) {

@@ -5,6 +5,7 @@
 // failure aborts the run.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <span>
 #include <vector>
@@ -25,12 +26,16 @@ class ScriptedSink final : public EventSink {
 
   std::size_t batches_seen = 0;
   std::size_t events_seen = 0;
+  std::size_t largest_batch = 0;
+  std::vector<core::Event> events;
   bool finished = false;
 
   bool accept(std::span<const core::Event> batch) override {
     const bool ok = batches_seen < fail_from_batch;
     ++batches_seen;
     events_seen += batch.size();
+    largest_batch = std::max(largest_batch, batch.size());
+    events.insert(events.end(), batch.begin(), batch.end());
     return ok;
   }
   bool finish() override {
@@ -174,6 +179,28 @@ TEST(DrainPump, CleanRunReportsNothingUndrained) {
   EXPECT_EQ(stats.events, 32u);
   EXPECT_EQ(stats.events_undrained, 0u);
   EXPECT_TRUE(sink.finished);
+}
+
+TEST(DrainPump, BatchesAreBoundedByMaxPending) {
+  // A backlog larger than the latency bound is handed out in
+  // max_pending-sized batches, in order, not as one batch.
+  Recorder recorder(4);
+  for (int i = 0; i < 8; ++i) push_writer(recorder, i);
+  const std::vector<core::Event> expected = recorder.history().events();
+
+  ScriptedSink sink;
+  AdaptiveDrainPacer::Options pacing;
+  pacing.max_pending = 5;
+  DrainPump pump(recorder, sink, pacing);
+  std::atomic<bool> done{true};
+  const auto stats = pump.run(done);
+
+  EXPECT_TRUE(stats.sink_ok);
+  EXPECT_EQ(stats.events, 32u);
+  EXPECT_EQ(stats.batches, 7u);  // ceil(32 / 5)
+  EXPECT_EQ(sink.largest_batch, 5u);
+  EXPECT_EQ(sink.events, expected);
+  EXPECT_EQ(recorder.approx_pending(), 0u);
 }
 
 TEST(DrainPump, TeeWithOneHealthyLegRunsToCompletion) {
