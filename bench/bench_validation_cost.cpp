@@ -40,14 +40,13 @@ void BM_ScanTransaction(benchmark::State& state, const char* name) {
 
 // Same scan with a recorder attached: the per-read price of verification
 // mode (stamping + the sampling window) on top of the Theorem 3 quantity.
-// The sharded engine's goal is that this overhead stays flat in k and per
-// event — compare time/op against the unrecorded BM_ScanTransaction rows.
-template <typename RecorderT>
+// The goal is that this overhead stays flat in k and per event — compare
+// time/op against the unrecorded BM_ScanTransaction rows.
 void BM_ScanTransactionRecorded(benchmark::State& state, const char* name) {
   const auto k = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
     const auto stm = stm::make_stm(name, k);
-    RecorderT recorder(k);
+    stm::Recorder recorder(k);
     stm->set_recorder(&recorder);
     sim::ThreadCtx ctx(0);
     stm->begin(ctx);
@@ -63,10 +62,7 @@ void BM_ScanTransactionRecorded(benchmark::State& state, const char* name) {
 }
 
 void BM_ScanRecordedSharded(benchmark::State& state) {
-  BM_ScanTransactionRecorded<stm::Recorder>(state, "tl2");
-}
-void BM_ScanRecordedMutex(benchmark::State& state) {
-  BM_ScanTransactionRecorded<stm::MutexRecorder>(state, "tl2");
+  BM_ScanTransactionRecorded(state, "tl2");
 }
 
 }  // namespace
@@ -92,11 +88,6 @@ SCAN_BENCH(weak);
 #undef SCAN_BENCH
 
 BENCHMARK(BM_ScanRecordedSharded)
-    ->RangeMultiplier(2)
-    ->Range(32, 1024)
-    ->Unit(benchmark::kMicrosecond);
-
-BENCHMARK(BM_ScanRecordedMutex)
     ->RangeMultiplier(2)
     ->Range(32, 1024)
     ->Unit(benchmark::kMicrosecond);

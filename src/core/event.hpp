@@ -50,7 +50,7 @@ struct Event {
   /// points at a snapshot). Carried by
   ///   * C/A events: 2·wv for committed updates, 2·snapshot+1 for
   ///     transactions that serialize at their snapshot (see
-  ///     RecorderBase::on_commit);
+  ///     stm::Recorder::on_commit);
   ///   * non-local READ responses of window-free-capable runtimes:
   ///     2·rv+1, the snapshot the read was validated against (the `rv`
   ///     half of the read-stamp pair; `ver` below is the other half).

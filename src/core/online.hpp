@@ -277,7 +277,7 @@ class OnlineCertificateMonitor {
   /// (sticky).
   bool feed(const Event& e);
 
-  /// Batch ingestion — the feed for the sharded recorder's drain() and the
+  /// Batch ingestion — the feed for stm::Recorder::drain() and the
   /// recorded-mode pipeline. Equivalent to feeding every event of `batch`
   /// one at a time (the equivalence is tested), but amortizes the sticky
   /// violation handling across the batch. Returns false once a violation

@@ -34,22 +34,22 @@ const char* to_string(CertFlagKind k) noexcept {
   return "?";
 }
 
-std::vector<TxId> anchor_order(const History& h) {
+namespace {
+
+/// Sort every transaction of `events` by (stamp of its C/A event, anchor
+/// position) — see anchor_order. `stamped` = false leaves every stamp 0.
+[[nodiscard]] std::vector<TxId> order_by_anchor(std::span<const Event> events,
+                                                bool stamped) {
   struct Anchor {
+    std::uint64_t stamp = 0;
     std::size_t pos = 0;
     bool committed = false;
-    bool seen = false;
   };
   std::unordered_map<TxId, Anchor> anchors;
   std::set<std::pair<TxId, ObjId>> wrote;
-  const std::vector<Event>& events = h.events();
   for (std::size_t i = 0; i < events.size(); ++i) {
     const Event& e = events[i];
-    Anchor& a = anchors[e.tx];
-    if (!a.seen) {
-      a.seen = true;
-      a.pos = i;  // first-event fallback
-    }
+    Anchor& a = anchors.try_emplace(e.tx, Anchor{0, i, false}).first->second;
     if (e.kind == EventKind::kInvoke && e.op == OpCode::kWrite) {
       wrote.insert({e.tx, e.obj});
     } else if (e.kind == EventKind::kResponse && e.op == OpCode::kRead &&
@@ -58,15 +58,30 @@ std::vector<TxId> anchor_order(const History& h) {
     } else if (e.kind == EventKind::kCommit) {
       a.committed = true;
       a.pos = i;
+      if (stamped) a.stamp = e.stamp;
+    } else if (e.kind == EventKind::kAbort && stamped) {
+      a.stamp = e.stamp;
     }
   }
   std::vector<TxId> order;
   order.reserve(anchors.size());
   for (const auto& [tx, a] : anchors) order.push_back(tx);
   std::sort(order.begin(), order.end(), [&](TxId a, TxId b) {
-    return anchors.at(a).pos < anchors.at(b).pos;
+    const Anchor& x = anchors.at(a);
+    const Anchor& y = anchors.at(b);
+    return std::pair(x.stamp, x.pos) < std::pair(y.stamp, y.pos);
   });
   return order;
+}
+
+}  // namespace
+
+std::vector<TxId> anchor_order(const History& h) {
+  return order_by_anchor(h.events(), /*stamped=*/false);
+}
+
+std::vector<TxId> stamped_anchor_order(std::span<const Event> events) {
+  return order_by_anchor(events, /*stamped=*/true);
 }
 
 // ---------------------------------------------------------------------------

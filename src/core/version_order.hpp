@@ -59,6 +59,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -252,11 +253,33 @@ struct SmartReorderResult {
   std::size_t candidates_pruned = 0;
 };
 
-/// The recorder's anchor order: committed transactions at their C position,
-/// others at their last non-local read response (their last whole-read-set
-/// validation), falling back to their first event — the same rule as
-/// stm::detail::certificate_order_of with no stamps. Exposed for tests.
+/// The anchor rule behind the recorded certificate ≪. Each transaction is
+/// anchored at an event position:
+///   * committed:     its C event;
+///   * non-committed: its LAST NON-LOCAL READ RESPONSE — the last moment
+///     the runtime vouched for its whole read set (read responses
+///     re-validate in the record-order runtimes; WRITE responses do not,
+///     so they must not advance the anchor), falling back to its first
+///     event when it has no such read.
+/// A LOCAL read (preceded by the transaction's own write to the same
+/// register) is answered from the write buffer without validation, so it
+/// does not advance the anchor either. Unlike the naive "committed first,
+/// aborted appended" order, this respects the real-time order of ALL
+/// transactions, which Theorem 2's well-formedness check requires (an
+/// aborted transaction that completed before a later one began must
+/// precede it in ≪).
+///
+/// anchor_order sorts by anchor position alone: the record-order ≪ and
+/// the §3.6 search's base candidate.
 [[nodiscard]] std::vector<TxId> anchor_order(const History& h);
+
+/// The stamp-keyed ≪ (stm::Recorder::certificate_order): transactions
+/// sorted by the Event::stamp their C or A event carries (0 while
+/// incomplete or unstamped), then by anchor position. Clock-based
+/// runtimes serialize a read-only or aborted transaction at its snapshot
+/// (2·rv+1), which may lie before already-recorded update commits (2·wv);
+/// with every stamp 0 this is anchor_order.
+[[nodiscard]] std::vector<TxId> stamped_anchor_order(std::span<const Event> events);
 
 /// Sound fast rejection of candidate version orders, built once per search
 /// from the history's value-resolved reads-from and its recorded read

@@ -36,7 +36,7 @@ struct StmProperties {
   bool opaque = true;            // ensures opacity (WeakStm does not)
 };
 
-class RecorderBase;  // stm/recorder.hpp
+class Recorder;  // stm/recorder.hpp
 
 class Stm {
  public:
@@ -65,9 +65,10 @@ class Stm {
   /// tryA: voluntary abort; always succeeds.
   virtual void abort(sim::ThreadCtx& ctx) = 0;
 
-  /// Attach a history recorder (nullptr to detach). Not thread-safe;
-  /// attach before spawning workers.
-  virtual void set_recorder(RecorderBase* recorder) noexcept = 0;
+  /// Attach a history recorder (nullptr to detach): every later event of
+  /// this runtime is recorded into it. Not thread-safe; attach before
+  /// spawning workers.
+  virtual void set_recorder(Recorder* recorder) noexcept = 0;
 
   /// Request window-free recording: the runtime stops taking the
   /// recorder's sampling/commit windows and instead stamps every non-local

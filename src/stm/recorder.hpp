@@ -1,5 +1,5 @@
-// Concurrent history recorders: turn live STM executions into
-// core::History values that the checkers can judge.
+// The history recorder: turns live STM executions into core::History
+// values that the checkers can judge.
 //
 // Every recorded event is stamped with a ticket from one atomic global
 // sequence counter at the moment it semantically occurs (invocations before
@@ -13,24 +13,27 @@
 // response, and the *commit point* atomic with the recording of C —
 // otherwise a descheduled thread records its event after a conflicting
 // commit slipped in between, and the recorded ≪ is no longer a valid
-// serialization even though the execution was correct. Runtimes therefore
-// wrap those two short sections in a window when a recorder is attached
-// (RuntimeBase::RecWindow). Two window kinds exist:
+// serialization even though the execution was correct. Optimistic
+// runtimes therefore wrap those two short sections in a window on the
+// recorder's reader/writer lock when a recorder is attached
+// (RuntimeBase::RecWindow):
 //
-//   * kSample — value sampling of a read, or the C record of a read-only
-//     transaction (which publishes nothing). Sampling windows may overlap
-//     each other: two concurrent samples cannot invalidate each other's
-//     recorded order, only a conflicting commit can.
-//   * kCommit — the commit point of an update transaction (or any window
-//     that mutates committed register state, e.g. eager in-place writes
-//     and their rollback). Exclusive against every other window.
+//   * sampling windows (shared) — value sampling of a read, or the C
+//     record of a read-only transaction (which publishes nothing). They
+//     may overlap each other: two concurrent samples cannot invalidate
+//     each other's recorded order, only a conflicting commit can.
+//   * commit windows (exclusive) — the commit point of an update
+//     transaction (or any window that mutates committed register state,
+//     e.g. eager in-place writes and their rollback).
 //
 // This reader/writer discipline preserves the Theorem-2 argument — no
 // commit point can slip between a value sample and its record — while
 // letting read-heavy recorded runs scale with cores. Recording mode still
 // serializes commit points against sampling; it changes timing, never
 // algorithm logic, and is intended for verification runs; benchmarks run
-// unrecorded.
+// unrecorded. The lock-based runtimes (glock, 2PL) need no window: their
+// own locks already order sampling and commit points against recording
+// (see the recording contract in runtime.hpp).
 //
 // WINDOW-FREE (stamped) recording drops even that discipline: a runtime
 // that can justify every non-local read by a stamp interval
@@ -65,30 +68,24 @@
 // commit that overwrote the version it read, and C records of concurrent
 // commits can land out of wv order — but reads-from is never inverted (a
 // committer records C before write-back; a reader samples only after
-// write-back), which is all the stamp checks need. Both engines below
-// carry the read stamps through history()/drain() untouched; the
-// cross-runtime conformance suite differentially tests window-free
-// against windowed recordings of identical schedules.
+// write-back), which is all the stamp checks need. history() and drain()
+// carry the read stamps through untouched; the cross-runtime conformance
+// suite differentially tests window-free against windowed recordings of
+// identical schedules.
 //
-// Two implementations:
-//   * Recorder      — the sharded engine: per-lane (per-process) buffers,
-//     lock-free against each other, merged on demand by stamp order. The
-//     default; scales with recording threads.
-//   * MutexRecorder — the original single-mutex engine, kept as the
-//     baseline for benchmarking and as a differential-testing oracle.
-//
-// LANE RECORDS. A lane stores each event as a variable-length run of
-// 64-bit words, not a fixed struct: a header word (the 48-bit stamp, the
-// 3-bit kind, the 5-bit op and one presence bit per payload field), a
-// tx|obj word, then only the payload fields (arg, ret, stamp, ver) that
-// are non-zero. A read invocation or tryC is 16 bytes, a write or a
-// stamped C/A 24, a stamped read response 40, and no record exceeds 48 —
-// about 25 bytes per event on the tl2 soak mix, against the 48 of a
-// core::Event. The completion stamp travels on the C/A record itself
-// (Event::stamp), so certificate_order() reads it from there. Lanes grow
-// by 512 KiB chunks mapped pre-faulted straight from the OS and unmapped
-// when the recorder dies; a record never straddles two chunks (a pad
-// header closes a chunk the next record would overflow).
+// LANE RECORDS. Each recording process appends to its own lane, lock-free
+// against the others; a merge by stamp rebuilds the linearization. A lane
+// stores each event as a variable-length run of 64-bit words, not a fixed
+// struct: a header word (the 48-bit stamp, the 3-bit kind, the 5-bit op and
+// one presence bit per payload field), a tx|obj word, then only the payload
+// fields (arg, ret, stamp, ver) that are non-zero. A read invocation or
+// tryC is 16 bytes, a write or a stamped C/A 24, a stamped read response
+// 40, and no record exceeds 48 — about 25 bytes per event on the tl2 soak
+// mix, against the 48 of a core::Event. The completion stamp travels on the
+// C/A record itself (Event::stamp), so certificate_order() reads it from
+// there. Lanes grow by 512 KiB chunks mapped pre-faulted straight from the
+// OS and unmapped when the recorder dies; a record never straddles two
+// chunks (a pad header closes a chunk the next record would overflow).
 //
 // DRAIN SIDE (the live-verification feed). drain() k-way merges each
 // lane's published prefix directly out of the lanes' stable chunks,
@@ -134,83 +131,17 @@
 #include <memory>
 #include <mutex>
 #include <new>
-#include <set>
 #include <span>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "core/history.hpp"
+#include "core/version_order.hpp"
 #include "sim/thread_ctx.hpp"
 #include "stm/api.hpp"
 #include "util/spin.hpp"
 
 namespace optm::stm {
-
-namespace detail {
-
-/// The certificate ≪: every recorded transaction ordered by its
-/// serialization point, the key (stamp, seq), where the stamp is the
-/// Event::stamp its C or A event carries (0 while incomplete) and
-///   * committed:     (commit stamp, position of its C event) — for
-///     stamp-0 runtimes that is plain commit-record order;
-///   * non-committed: (abort stamp,  position of its LAST NON-LOCAL READ
-///     RESPONSE) — the last moment the runtime vouched for its whole
-///     read set (read responses re-validate in the stamp-0 runtimes;
-///     WRITE responses do not, so they must not advance the anchor). A
-///     transaction with no such reads anchors at its first event.
-/// A LOCAL read (preceded by the transaction's own write to the same
-/// register) is answered from the write buffer without validation, so
-/// it must not advance the anchor either. Unlike the naive "committed
-/// first, aborted appended" order, this respects the real-time order of
-/// ALL transactions, which Theorem 2's well-formedness check requires
-/// (an aborted transaction that completed before a later one began must
-/// precede it in ≪).
-[[nodiscard]] inline std::vector<core::TxId> certificate_order_of(
-    const std::vector<core::Event>& events) {
-  struct Key {
-    std::uint64_t stamp = 0;
-    std::size_t seq = 0;
-    bool committed = false;
-    bool seen = false;
-  };
-  std::unordered_map<core::TxId, Key> keys;
-  std::set<std::pair<core::TxId, VarId>> wrote;
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    const core::Event& e = events[i];
-    Key& k = keys[e.tx];
-    if (!k.seen) {
-      k.seen = true;
-      k.seq = i;  // first-event fallback
-    }
-    if (e.kind == core::EventKind::kInvoke && e.op == core::OpCode::kWrite) {
-      wrote.insert({e.tx, static_cast<VarId>(e.obj)});
-    } else if (e.kind == core::EventKind::kResponse &&
-               e.op == core::OpCode::kRead && !k.committed &&
-               !wrote.count({e.tx, static_cast<VarId>(e.obj)})) {
-      k.seq = i;
-    } else if (e.kind == core::EventKind::kCommit) {
-      k.committed = true;
-      k.seq = i;
-      k.stamp = e.stamp;
-    } else if (e.kind == core::EventKind::kAbort) {
-      k.stamp = e.stamp;
-    }
-  }
-
-  std::vector<core::TxId> order;
-  order.reserve(keys.size());
-  for (const auto& [tx, k] : keys) order.push_back(tx);
-  std::sort(order.begin(), order.end(), [&](core::TxId a, core::TxId b) {
-    const Key& ka = keys.at(a);
-    const Key& kb = keys.at(b);
-    if (ka.stamp != kb.stamp) return ka.stamp < kb.stamp;
-    return ka.seq < kb.seq;
-  });
-  return order;
-}
-
-}  // namespace detail
 
 /// Caller-owned, reusable drain buffer: a thin wrapper over a contiguous
 /// event array whose capacity survives clear(), so a steady-state
@@ -312,100 +243,9 @@ class AdaptiveDrainPacer {
   std::uint32_t idle_ = 0;
 };
 
-/// Abstract recorder interface the runtimes talk to. `lane` is the
-/// recording process's slot (ctx.id()), < sim::kMaxThreads; it selects the
-/// per-process buffer in the sharded engine and is ignored by the mutex
-/// engine.
-class RecorderBase {
- public:
-  enum class WindowKind : std::uint8_t {
-    kSample,  // value sampling / read-only C — may share
-    kCommit,  // update commit point / in-place mutation — exclusive
-  };
-
-  virtual ~RecorderBase() = default;
-
-  /// Allocate a fresh transaction id (starts at 1; 0 is the §5.4
-  /// initializer).
-  [[nodiscard]] virtual core::TxId begin_tx() = 0;
-
-  virtual void on_inv(std::uint32_t lane, core::TxId tx, VarId var,
-                      core::OpCode op, core::Value arg) = 0;
-  /// `stamp`/`ver` are a stamped read's (2·rv+1, version) pair — see
-  /// Event::stamp and Event::ver; 0/0 means unstamped.
-  virtual void on_ret(std::uint32_t lane, core::TxId tx, VarId var,
-                      core::OpCode op, core::Value arg, core::Value ret,
-                      std::uint64_t stamp = 0, std::uint64_t ver = 0) = 0;
-  virtual void on_try_commit(std::uint32_t lane, core::TxId tx) = 0;
-  /// `stamp` is the transaction's serialization stamp within the run. For
-  /// runtimes that re-validate the whole read set at the commit point
-  /// (DSTM, visible-read, 2PL) the commit record order IS the
-  /// serialization order — they pass stamp = 0 and certificate_order()
-  /// falls back to record order. Clock-based runtimes serialize read-only
-  /// transactions at their snapshot time (TL2's rv, MV's ub), which may lie
-  /// before already-recorded commits; they pass composite stamps (2·wv for
-  /// updates, 2·rv+1 for read-only) so certificate_order() can interleave
-  /// them correctly.
-  virtual void on_commit(std::uint32_t lane, core::TxId tx,
-                         std::uint64_t stamp = 0) = 0;
-  virtual void on_try_abort(std::uint32_t lane, core::TxId tx) = 0;
-  /// `stamp` is the serialization point of the ABORTED transaction — the
-  /// moment its (validated) reads were simultaneously current. Clock-based
-  /// runtimes pass 2·rv+1 (the snapshot they read from); record-order
-  /// runtimes pass 0 and certificate_order() anchors the transaction at
-  /// its last response (its last successful whole-read-set validation).
-  virtual void on_abort(std::uint32_t lane, core::TxId tx,
-                        std::uint64_t stamp = 0) = 0;
-
-  virtual void window_enter(WindowKind kind) = 0;
-  virtual void window_exit(WindowKind kind) = 0;
-
-  /// The reader/writer lock behind the windows, when the engine implements
-  /// them with one (the sharded Recorder): RuntimeBase caches it so a
-  /// window is two inlined RMWs instead of two virtual calls wrapping
-  /// them. nullptr (the default) -> the virtual window_enter/window_exit
-  /// path (the mutex engine's recursive mutex).
-  [[nodiscard]] virtual util::SharedSpinLock* window_lock() noexcept {
-    return nullptr;
-  }
-
-  /// Snapshot of the recorded history. Exact in quiescence (no recording
-  /// hook concurrently in flight); during a run it returns the published
-  /// prefix-with-gaps and is intended for monitoring only.
-  [[nodiscard]] virtual core::History history() const = 0;
-  [[nodiscard]] virtual std::vector<core::TxId> certificate_order() const = 0;
-  [[nodiscard]] virtual std::size_t num_events() const = 0;
-
-  /// Critical section making a shared-memory action atomic with the
-  /// recording of its event (see file header for the kind discipline).
-  class [[nodiscard]] Window {
-   public:
-    Window() = default;
-    Window(RecorderBase* recorder, WindowKind kind)
-        : recorder_(recorder), kind_(kind) {
-      if (recorder_ != nullptr) recorder_->window_enter(kind_);
-    }
-    Window(Window&& other) noexcept
-        : recorder_(other.recorder_), kind_(other.kind_) {
-      other.recorder_ = nullptr;
-    }
-    Window(const Window&) = delete;
-    Window& operator=(const Window&) = delete;
-    Window& operator=(Window&&) = delete;
-    ~Window() {
-      if (recorder_ != nullptr) recorder_->window_exit(kind_);
-    }
-
-   private:
-    RecorderBase* recorder_ = nullptr;
-    WindowKind kind_ = WindowKind::kSample;
-  };
-};
-
-/// The sharded recording engine (the default `Recorder`).
-///
-/// Each lane is a single-writer chunked word buffer: the owning process
-/// encodes the event as one variable-length record (see the file header),
+/// The recorder. Each lane is a single-writer chunked word buffer: the
+/// owning process encodes the event as one variable-length record (see
+/// the file header),
 /// stamps it from one atomic sequence counter, and publishes it with a
 /// release store of the lane's word count — the hot path is one fetch_add
 /// and a few plain stores, no lock. (The lane's spinlock guards only
@@ -416,7 +256,7 @@ class RecorderBase {
 /// consumes exactly the longest stamp-contiguous prefix, which is a
 /// complete, stable prefix of the linearization even while recording
 /// continues — the feed for live batch verification.
-class Recorder final : public RecorderBase {
+class Recorder {
  public:
   /// Size of one lane chunk, mapped pre-faulted from the OS. Smaller
   /// chunks mean more mmap/munmap calls (128 KiB measured a few percent
@@ -427,69 +267,81 @@ class Recorder final : public RecorderBase {
   explicit Recorder(std::size_t num_vars)
       : model_(core::ObjectModel::registers(num_vars, 0)) {}
 
-  [[nodiscard]] core::TxId begin_tx() override {
+  /// Allocate a fresh transaction id (starts at 1; 0 is the §5.4
+  /// initializer).
+  [[nodiscard]] core::TxId begin_tx() {
     return next_tx_.fetch_add(1, std::memory_order_relaxed);
   }
 
+  // The hooks: `lane` is the recording process's slot (ctx.id()),
+  // < sim::kMaxThreads, and selects its single-writer lane.
   void on_inv(std::uint32_t lane, core::TxId tx, VarId var, core::OpCode op,
-              core::Value arg) override {
+              core::Value arg) {
     push(lane, core::ev::inv(tx, var, op, arg));
   }
+  /// `stamp`/`ver` are a stamped read's (2·rv+1, version) pair — see
+  /// Event::stamp and Event::ver; 0/0 means unstamped.
   void on_ret(std::uint32_t lane, core::TxId tx, VarId var, core::OpCode op,
               core::Value arg, core::Value ret, std::uint64_t stamp = 0,
-              std::uint64_t ver = 0) override {
+              std::uint64_t ver = 0) {
     push(lane, core::ev::ret(tx, var, op, arg, ret, stamp, ver));
   }
-  void on_try_commit(std::uint32_t lane, core::TxId tx) override {
+  void on_try_commit(std::uint32_t lane, core::TxId tx) {
     push(lane, core::ev::try_commit(tx));
   }
-  void on_commit(std::uint32_t lane, core::TxId tx,
-                 std::uint64_t stamp = 0) override {
+  /// `stamp` is the transaction's serialization stamp within the run. For
+  /// runtimes that re-validate the whole read set at the commit point
+  /// (DSTM, visible-read, 2PL) the commit record order IS the
+  /// serialization order — they pass stamp = 0 and certificate_order()
+  /// falls back to record order. Clock-based runtimes serialize read-only
+  /// transactions at their snapshot time (TL2's rv, MV's ub), which may lie
+  /// before already-recorded commits; they pass composite stamps (2·wv for
+  /// updates, 2·rv+1 for read-only) so certificate_order() can interleave
+  /// them correctly.
+  void on_commit(std::uint32_t lane, core::TxId tx, std::uint64_t stamp = 0) {
     push(lane, core::ev::commit(tx, stamp));
   }
-  void on_try_abort(std::uint32_t lane, core::TxId tx) override {
+  void on_try_abort(std::uint32_t lane, core::TxId tx) {
     push(lane, core::ev::try_abort(tx));
   }
-  void on_abort(std::uint32_t lane, core::TxId tx,
-                std::uint64_t stamp = 0) override {
+  /// `stamp` is the serialization point of the ABORTED transaction — the
+  /// moment its (validated) reads were simultaneously current. Clock-based
+  /// runtimes pass 2·rv+1 (the snapshot they read from); record-order
+  /// runtimes pass 0 and certificate_order() anchors the transaction at
+  /// its last response (its last successful whole-read-set validation).
+  void on_abort(std::uint32_t lane, core::TxId tx, std::uint64_t stamp = 0) {
     push(lane, core::ev::abort(tx, stamp));
   }
 
-  void window_enter(WindowKind kind) override {
-    if (kind == WindowKind::kCommit) {
-      window_lock_.lock();
-    } else {
-      window_lock_.lock_shared();
-    }
-  }
-  void window_exit(WindowKind kind) override {
-    if (kind == WindowKind::kCommit) {
-      window_lock_.unlock();
-    } else {
-      window_lock_.unlock_shared();
-    }
-  }
-  [[nodiscard]] util::SharedSpinLock* window_lock() noexcept override {
-    return &window_lock_;
+  /// The reader/writer lock behind the recording windows
+  /// (RuntimeBase::RecWindow): sampling windows hold it shared, commit
+  /// windows exclusively.
+  [[nodiscard]] util::SharedSpinLock& window_lock() noexcept {
+    return window_lock_;
   }
 
-  [[nodiscard]] core::History history() const override {
+  /// Snapshot of the recorded history. Exact in quiescence (no recording
+  /// hook concurrently in flight); during a run it returns the published
+  /// prefix-with-gaps and is intended for monitoring only.
+  [[nodiscard]] core::History history() const {
     core::History h(model_);
     h.reserve(num_events());
     for_each_recorded([&h](const core::Event& e) { h.append(e); });
     return h;
   }
 
-  [[nodiscard]] std::vector<core::TxId> certificate_order() const override {
+  /// The certificate ≪ of the recorded history: core::stamped_anchor_order
+  /// (each transaction keyed by its C/A stamp, then its anchor position).
+  [[nodiscard]] std::vector<core::TxId> certificate_order() const {
     std::vector<core::Event> events;
     events.reserve(num_events());
     for_each_recorded([&events](const core::Event& e) { events.push_back(e); });
-    return detail::certificate_order_of(events);
+    return core::stamped_anchor_order(events);
   }
 
   /// Events stamped so far. Exact in quiescence; during a run it also
   /// counts the few events whose records are still being written.
-  [[nodiscard]] std::size_t num_events() const override {
+  [[nodiscard]] std::size_t num_events() const {
     return seq_.load(std::memory_order_acquire);
   }
 
@@ -789,76 +641,6 @@ class Recorder final : public RecorderBase {
   Cursors cursors_;
   Heap heap_;
   std::uint64_t next_seq_ = 0;  // first stamp not yet drained
-};
-
-/// The original single-mutex engine: every hook appends under one recursive
-/// mutex, and both window kinds take that same mutex exclusively. Kept as
-/// the measured baseline for the sharded engine and as a differential-
-/// testing oracle (both engines must reconstruct the same linearization of
-/// a deterministic schedule).
-class MutexRecorder final : public RecorderBase {
- public:
-  explicit MutexRecorder(std::size_t num_vars)
-      : model_(core::ObjectModel::registers(num_vars, 0)) {}
-
-  [[nodiscard]] core::TxId begin_tx() override {
-    const std::lock_guard<std::recursive_mutex> guard(mu_);
-    return next_tx_++;
-  }
-
-  void on_inv(std::uint32_t /*lane*/, core::TxId tx, VarId var,
-              core::OpCode op, core::Value arg) override {
-    const std::lock_guard<std::recursive_mutex> guard(mu_);
-    events_.push_back(core::ev::inv(tx, var, op, arg));
-  }
-  void on_ret(std::uint32_t /*lane*/, core::TxId tx, VarId var,
-              core::OpCode op, core::Value arg, core::Value ret,
-              std::uint64_t stamp = 0, std::uint64_t ver = 0) override {
-    const std::lock_guard<std::recursive_mutex> guard(mu_);
-    events_.push_back(core::ev::ret(tx, var, op, arg, ret, stamp, ver));
-  }
-  void on_try_commit(std::uint32_t /*lane*/, core::TxId tx) override {
-    const std::lock_guard<std::recursive_mutex> guard(mu_);
-    events_.push_back(core::ev::try_commit(tx));
-  }
-  void on_commit(std::uint32_t /*lane*/, core::TxId tx,
-                 std::uint64_t stamp = 0) override {
-    const std::lock_guard<std::recursive_mutex> guard(mu_);
-    events_.push_back(core::ev::commit(tx, stamp));
-  }
-  void on_try_abort(std::uint32_t /*lane*/, core::TxId tx) override {
-    const std::lock_guard<std::recursive_mutex> guard(mu_);
-    events_.push_back(core::ev::try_abort(tx));
-  }
-  void on_abort(std::uint32_t /*lane*/, core::TxId tx,
-                std::uint64_t stamp = 0) override {
-    const std::lock_guard<std::recursive_mutex> guard(mu_);
-    events_.push_back(core::ev::abort(tx, stamp));
-  }
-
-  void window_enter(WindowKind /*kind*/) override { mu_.lock(); }
-  void window_exit(WindowKind /*kind*/) override { mu_.unlock(); }
-
-  [[nodiscard]] core::History history() const override {
-    const std::lock_guard<std::recursive_mutex> guard(mu_);
-    return core::History::from_batch(model_, events_);
-  }
-
-  [[nodiscard]] std::vector<core::TxId> certificate_order() const override {
-    const std::lock_guard<std::recursive_mutex> guard(mu_);
-    return detail::certificate_order_of(events_);
-  }
-
-  [[nodiscard]] std::size_t num_events() const override {
-    const std::lock_guard<std::recursive_mutex> guard(mu_);
-    return events_.size();
-  }
-
- private:
-  mutable std::recursive_mutex mu_;
-  core::ObjectModel model_;
-  std::vector<core::Event> events_;
-  core::TxId next_tx_ = 1;
 };
 
 }  // namespace optm::stm

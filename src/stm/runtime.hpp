@@ -75,24 +75,20 @@ class WriteSet {
 /// recorded overlap the runtime never executed. Delaying an invocation is
 /// safe for the §3.6/§5.4 certificates: it only adds real-time edges
 /// (≺_H grows, never shrinks), so it can cause a false flag but never a
-/// false certificate.
+/// false certificate. The same contract makes recorder windows redundant
+/// in these runtimes, so they take none: glock holds its global lock from
+/// begin until after C/A is recorded, so no other transaction records
+/// anything in between; 2PL samples a value under the variable's lock and
+/// installs its writes and records C/A before release_all, so no
+/// conflicting commit point can fall between a sample and its record.
 class RuntimeBase : public Stm {
  public:
   explicit RuntimeBase(std::size_t num_vars) noexcept : num_vars_(num_vars) {}
 
   [[nodiscard]] std::size_t num_vars() const noexcept override { return num_vars_; }
 
-  void set_recorder(RecorderBase* recorder) noexcept override {
+  void set_recorder(Recorder* recorder) noexcept override {
     recorder_ = recorder;
-    // Cache the engine's window lock (when it has one) so every window on
-    // the recorded hot path is two inlined RMWs, not two virtual calls
-    // wrapping them. The mutex engine returns nullptr and keeps the
-    // virtual path.
-    window_lock_ = recorder != nullptr ? recorder->window_lock() : nullptr;
-    // Devirtualize the per-event hooks for the sharded engine: Recorder is
-    // final and header-defined, so calls through a concrete pointer inline
-    // the whole push (record encode + stamp draw) into the runtime's op.
-    sharded_ = dynamic_cast<Recorder*>(recorder);
   }
 
   bool set_window_free(bool on) noexcept override {
@@ -118,68 +114,45 @@ class RuntimeBase : public Stm {
   /// Scoped recorder window (see recorder.hpp): while held, the runtime's
   /// shared-memory action and its recorded event are atomic with respect to
   /// every recorded commit point. Sampling windows (value sampling of a
-  /// read, the C record of a read-only transaction) may overlap each other;
-  /// commit windows (update commit points, in-place mutation of committed
-  /// state) are exclusive against every window. No-op when no recorder is
-  /// attached — and in window-free mode, where the stamps the runtime
-  /// emits replace the window discipline entirely (the commit "window"
-  /// shrinks to the recording instant of the C event itself).
-  ///
-  /// When the engine exposes its SharedSpinLock (the sharded Recorder),
-  /// the window takes it directly — the inlined fast path of the recorded
-  /// hot loop; otherwise it falls back to the virtual
-  /// window_enter/window_exit pair (the mutex engine).
+  /// read, the C record of a read-only transaction) hold the recorder's
+  /// window lock shared and may overlap each other; commit windows (update
+  /// commit points, in-place mutation of committed state) hold it
+  /// exclusively. No lock is taken when no recorder is attached, nor in
+  /// window-free mode, where the stamps the runtime emits replace the
+  /// window discipline entirely (the commit "window" shrinks to the
+  /// recording instant of the C event itself).
   class [[nodiscard]] RecWindow {
    public:
-    RecWindow() = default;
-    RecWindow(RecorderBase* recorder, util::SharedSpinLock* lock,
-              RecorderBase::WindowKind kind)
-        : recorder_(recorder), lock_(lock), kind_(kind) {
-      if (lock_ != nullptr) {
-        if (kind_ == RecorderBase::WindowKind::kCommit) {
-          lock_->lock();
-        } else {
-          lock_->lock_shared();
-        }
-      } else if (recorder_ != nullptr) {
-        recorder_->window_enter(kind_);
+    RecWindow(util::SharedSpinLock* lock, bool exclusive) noexcept
+        : lock_(lock), exclusive_(exclusive) {
+      if (lock_ == nullptr) return;
+      if (exclusive_) {
+        lock_->lock();
+      } else {
+        lock_->lock_shared();
       }
-    }
-    RecWindow(RecWindow&& other) noexcept
-        : recorder_(other.recorder_), lock_(other.lock_), kind_(other.kind_) {
-      other.recorder_ = nullptr;
-      other.lock_ = nullptr;
     }
     RecWindow(const RecWindow&) = delete;
     RecWindow& operator=(const RecWindow&) = delete;
-    RecWindow& operator=(RecWindow&&) = delete;
     ~RecWindow() {
-      if (lock_ != nullptr) {
-        if (kind_ == RecorderBase::WindowKind::kCommit) {
-          lock_->unlock();
-        } else {
-          lock_->unlock_shared();
-        }
-      } else if (recorder_ != nullptr) {
-        recorder_->window_exit(kind_);
+      if (lock_ == nullptr) return;
+      if (exclusive_) {
+        lock_->unlock();
+      } else {
+        lock_->unlock_shared();
       }
     }
 
    private:
-    RecorderBase* recorder_ = nullptr;
-    util::SharedSpinLock* lock_ = nullptr;
-    RecorderBase::WindowKind kind_ = RecorderBase::WindowKind::kSample;
+    util::SharedSpinLock* lock_;
+    bool exclusive_;
   };
 
   [[nodiscard]] RecWindow rec_sample_window() const {
-    if (window_free_) return RecWindow();
-    return RecWindow(recorder_, window_lock_,
-                     RecorderBase::WindowKind::kSample);
+    return RecWindow(window_lock(), /*exclusive=*/false);
   }
   [[nodiscard]] RecWindow rec_commit_window() const {
-    if (window_free_) return RecWindow();
-    return RecWindow(recorder_, window_lock_,
-                     RecorderBase::WindowKind::kCommit);
+    return RecWindow(window_lock(), /*exclusive=*/true);
   }
 
   void rec_begin(sim::ThreadCtx& ctx) {
@@ -187,10 +160,7 @@ class RuntimeBase : public Stm {
   }
   void rec_inv(sim::ThreadCtx& ctx, VarId var, core::OpCode op,
                std::uint64_t arg) {
-    if (sharded_ != nullptr) {
-      sharded_->on_inv(ctx.id(), rec_tx_[ctx.id()], var, op,
-                       static_cast<core::Value>(arg));
-    } else if (recorder_ != nullptr) {
+    if (recorder_ != nullptr) {
       recorder_->on_inv(ctx.id(), rec_tx_[ctx.id()], var, op,
                         static_cast<core::Value>(arg));
     }
@@ -201,18 +171,14 @@ class RuntimeBase : public Stm {
   void rec_ret(sim::ThreadCtx& ctx, VarId var, core::OpCode op,
                std::uint64_t arg, std::uint64_t ret, std::uint64_t stamp = 0,
                std::uint64_t ver = 0) {
-    if (sharded_ != nullptr) {
-      sharded_->on_ret(ctx.id(), rec_tx_[ctx.id()], var, op,
-                       static_cast<core::Value>(arg),
-                       static_cast<core::Value>(ret), stamp, ver);
-    } else if (recorder_ != nullptr) {
+    if (recorder_ != nullptr) {
       recorder_->on_ret(ctx.id(), rec_tx_[ctx.id()], var, op,
                         static_cast<core::Value>(arg),
                         static_cast<core::Value>(ret), stamp, ver);
     }
   }
   // Abort hooks take the aborted transaction's serialization stamp (see
-  // RecorderBase::on_abort): clock-based runtimes pass 2·rv+1, record-order
+  // Recorder::on_abort): clock-based runtimes pass 2·rv+1, record-order
   // runtimes leave the default 0.
 
   /// A replaces the pending operation response (forceful abort mid-op).
@@ -220,16 +186,12 @@ class RuntimeBase : public Stm {
     rec_abort(ctx, stamp);
   }
   void rec_try_commit(sim::ThreadCtx& ctx) {
-    if (sharded_ != nullptr) {
-      sharded_->on_try_commit(ctx.id(), rec_tx_[ctx.id()]);
-    } else if (recorder_ != nullptr) {
+    if (recorder_ != nullptr) {
       recorder_->on_try_commit(ctx.id(), rec_tx_[ctx.id()]);
     }
   }
   void rec_commit(sim::ThreadCtx& ctx, std::uint64_t stamp = 0) {
-    if (sharded_ != nullptr) {
-      sharded_->on_commit(ctx.id(), rec_tx_[ctx.id()], stamp);
-    } else if (recorder_ != nullptr) {
+    if (recorder_ != nullptr) {
       recorder_->on_commit(ctx.id(), rec_tx_[ctx.id()], stamp);
     }
   }
@@ -238,22 +200,14 @@ class RuntimeBase : public Stm {
     rec_abort(ctx, stamp);
   }
   void rec_voluntary_abort(sim::ThreadCtx& ctx, std::uint64_t stamp = 0) {
-    if (sharded_ != nullptr) {
-      sharded_->on_try_abort(ctx.id(), rec_tx_[ctx.id()]);
-    } else if (recorder_ != nullptr) {
+    if (recorder_ != nullptr) {
       recorder_->on_try_abort(ctx.id(), rec_tx_[ctx.id()]);
     }
     rec_abort(ctx, stamp);
   }
 
   std::size_t num_vars_;
-  RecorderBase* recorder_ = nullptr;
-  /// Cached RecorderBase::window_lock() of the attached engine (nullptr
-  /// when the engine keeps the virtual window path).
-  util::SharedSpinLock* window_lock_ = nullptr;
-  /// recorder_ downcast to the final sharded engine (nullptr otherwise):
-  /// the devirtualized fast path of the per-event hooks.
-  Recorder* sharded_ = nullptr;
+  Recorder* recorder_ = nullptr;
   /// Set (in the constructor) by runtimes that stamp every non-local read
   /// with its (rv, version) pair — clock-validated (tl2/tiny/norec/mv) or
   /// orec-published (dstm/astm) — the precondition for dropping windows.
@@ -261,11 +215,15 @@ class RuntimeBase : public Stm {
 
  private:
   void rec_abort(sim::ThreadCtx& ctx, std::uint64_t stamp) {
-    if (sharded_ != nullptr) {
-      sharded_->on_abort(ctx.id(), rec_tx_[ctx.id()], stamp);
-    } else if (recorder_ != nullptr) {
+    if (recorder_ != nullptr) {
       recorder_->on_abort(ctx.id(), rec_tx_[ctx.id()], stamp);
     }
+  }
+
+  /// The lock a window takes: none without a recorder or when window-free.
+  [[nodiscard]] util::SharedSpinLock* window_lock() const noexcept {
+    return recorder_ != nullptr && !window_free_ ? &recorder_->window_lock()
+                                                 : nullptr;
   }
 
   bool window_free_ = false;

@@ -62,8 +62,7 @@ class MonitorSink final : public EventSink {
   core::OnlineCertificateMonitor* monitor_;
 };
 
-/// Appends batches to a core::History (the in-RAM baseline the offline
-/// sharded verifier consumes).
+/// Appends batches to a core::History (the in-RAM baseline).
 class HistoryAppendSink final : public EventSink {
  public:
   explicit HistoryAppendSink(core::History& h) noexcept : h_(&h) {}

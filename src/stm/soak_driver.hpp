@@ -1,8 +1,8 @@
 // SoakDriver: the record → drain → verify pipeline as a library.
 //
 // One call runs the full recorded-mode pipeline that examples/recorded_soak
-// used to hand-roll: a multi-threaded random mix recording into the
-// sharded Recorder, a verifier thread pumping stamp-contiguous drained
+// used to hand-roll: a multi-threaded random mix recording into a
+// Recorder, a verifier thread pumping stamp-contiguous drained
 // batches through an EventSink chain (live certificate monitor, and
 // optionally any extra sink — e.g. log::LogWriterSink for a durable
 // audit trail), then an offline certificate monitor re-verifying the

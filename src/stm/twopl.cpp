@@ -146,18 +146,13 @@ bool TwoPlStm::read(sim::ThreadCtx& ctx, VarId var, std::uint64_t& out) {
     return true;
   }
 
-  if (!holds_read(slot, var) && !holds_write(slot, var)) {
-    // Lock acquisition spins OUTSIDE any recorder window: a holder must be
-    // able to reach its own window to complete and release.
-    if (!lock_read(ctx, slot, var)) {
-      rec_inv(ctx, var, core::OpCode::kRead, 0);
-      return fail_op(ctx);
-    }
+  if (!holds_read(slot, var) && !holds_write(slot, var) &&
+      !lock_read(ctx, slot, var)) {
+    rec_inv(ctx, var, core::OpCode::kRead, 0);
+    return fail_op(ctx);
   }
   // Acquire, then record: the invocation lands after the lock is held.
   rec_inv(ctx, var, core::OpCode::kRead, 0);
-
-  const RecWindow window = rec_sample_window();
   out = vars_[var]->value.load(ctx);  // stable: shared lock held
   rec_ret(ctx, var, core::OpCode::kRead, 0, out);
   return true;
@@ -186,14 +181,12 @@ bool TwoPlStm::commit(sim::ThreadCtx& ctx) {
   rec_try_commit(ctx);
 
   // Strict 2PL commits cannot fail: every touched variable is locked, so
-  // no validation exists to fail. Install the buffered writes and release.
-  {
-    const RecWindow window = rec_commit_window();
-    for (const WriteEntry& e : slot.ws.entries()) {
-      vars_[e.var]->value.store(ctx, e.value);
-    }
-    rec_commit(ctx);
+  // no validation exists to fail. Install the buffered writes, record C,
+  // then release.
+  for (const WriteEntry& e : slot.ws.entries()) {
+    vars_[e.var]->value.store(ctx, e.value);
   }
+  rec_commit(ctx);
   release_all(ctx, slot);
   slot.ws.clear();
   slot.active = false;

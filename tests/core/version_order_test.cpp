@@ -10,6 +10,7 @@
 #include "core/adjudicate.hpp"
 #include "core/online.hpp"
 #include "core/opacity.hpp"
+#include "core/opacity_graph.hpp"
 #include "core/paper.hpp"
 #include "core/random_history.hpp"
 #include "core/version_order.hpp"
@@ -223,6 +224,34 @@ TEST(AnchorOrder, MatchesRecorderAnchors) {
   // Both committed: anchored at their C events, T1 first.
   EXPECT_EQ(order[0], 1u);
   EXPECT_EQ(order[1], 2u);
+}
+
+TEST(AnchorOrder, StampedOrderKeysOnTheCompletionStamp) {
+  // A tl2-shaped recording over x, y, z. T4 reads at snapshot 0 (stamp
+  // 2·0+1) on both sides of T1's commit (2·1), then aborts on x, its A
+  // stamped with that snapshot. T3 reads x = 1 at snapshot 1 and commits
+  // read-only at 2·1+1, its C recorded AFTER T2's update commit at 2·2.
+  History h(ObjectModel::registers(3, 0));
+  h.append(ev::inv(4, 1, OpCode::kRead)).append(ev::ret(4, 1, OpCode::kRead, 0, 0, 1, 0));
+  h.append(ev::inv(1, 0, OpCode::kWrite, 1))
+      .append(ev::ret(1, 0, OpCode::kWrite, 1, kOk));
+  h.append(ev::try_commit(1)).append(ev::commit(1, 2));
+  h.append(ev::inv(4, 2, OpCode::kRead)).append(ev::ret(4, 2, OpCode::kRead, 0, 0, 1, 0));
+  h.append(ev::inv(3, 0, OpCode::kRead)).append(ev::ret(3, 0, OpCode::kRead, 0, 1, 3, 1));
+  h.append(ev::inv(2, 2, OpCode::kWrite, 2))
+      .append(ev::ret(2, 2, OpCode::kWrite, 2, kOk));
+  h.append(ev::try_commit(2)).append(ev::commit(2, 4));
+  h.append(ev::try_commit(3)).append(ev::commit(3, 3));
+  h.append(ev::inv(4, 0, OpCode::kRead)).append(ev::abort(4, 1));
+
+  // By position: C1 (5), T4's last read response (7), C2 (13), C3 (15).
+  EXPECT_EQ(anchor_order(h), (std::vector<TxId>{1, 4, 2, 3}));
+  // By stamp: the aborted T4 at its snapshot ahead of T1's commit, and
+  // the read-only T3 ahead of the already-recorded update commit of T2.
+  const std::vector<TxId> stamped = stamped_anchor_order(h.events());
+  EXPECT_EQ(stamped, (std::vector<TxId>{4, 1, 3, 2}));
+  std::string why;
+  EXPECT_TRUE(verify_opacity_certificate(h, stamped, {}, &why)) << why;
 }
 
 // Regression for the shared version-identity helper (it used to be

@@ -1,8 +1,8 @@
-// The sharded recorder must be observationally identical to the original
-// single-mutex recorder: on a deterministic schedule both engines
-// reconstruct the same core::History and the same certificate ≪, and on
-// concurrent schedules the sharded engine's stamp-merged linearization
-// must pass the same checks the mutex engine's histories always passed.
+// The recorder must reconstruct exactly what a runtime did: on a
+// deterministic schedule every runtime's recording equals a hand-built
+// event list, stamps included, with the expected certificate ≪; on
+// concurrent schedules the stamp-merged linearization must be well formed
+// and certify, and drain() must hand out exactly what history() rebuilds.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -37,104 +37,124 @@ void drive_interleaved(Stm& stm) {
   }
 }
 
+/// What each runtime must record for drive_interleaved, written out from
+/// the algorithms. T1 reads x = 0 from snapshot 0, so a stamping runtime
+/// stamps the response 2·0+1 (version 0; NOrec validates by value and
+/// names no version). T2 commits x:=1 y:=2 at the first clock tick, 2·wv:
+/// wv = 1, except NOrec's sequence lock, which advances by 2 per commit.
+/// T1's read of y then finds its snapshot stale and aborts, the A carrying
+/// the snapshot stamp 2·0+1 — except mv, which serves y = 0 from the
+/// snapshot and commits T1 read-only at 2·0+1. visible stamps nothing.
+[[nodiscard]] std::vector<core::Event> expected_recording(const std::string& stm) {
+  using core::OpCode;
+  namespace ev = core::ev;
+  const std::uint64_t snapshot = stm == "visible" ? 0 : 1;
+  const std::uint64_t x_ver = stm == "norec" ? core::kNoReadVersion : 0;
+  const std::uint64_t t2_commit = stm == "visible" ? 0 : stm == "norec" ? 4 : 2;
+  std::vector<core::Event> events = {
+      ev::inv(1, 0, OpCode::kRead),
+      ev::ret(1, 0, OpCode::kRead, 0, 0, snapshot, x_ver),
+      ev::inv(2, 0, OpCode::kWrite, 1),
+      ev::ret(2, 0, OpCode::kWrite, 1, core::kOk),
+      ev::inv(2, 1, OpCode::kWrite, 2),
+      ev::ret(2, 1, OpCode::kWrite, 2, core::kOk),
+      ev::try_commit(2),
+      ev::commit(2, t2_commit),
+      ev::inv(1, 1, OpCode::kRead),
+  };
+  if (stm == "mv") {
+    events.push_back(ev::ret(1, 1, OpCode::kRead, 0, 0, snapshot, 0));
+    events.push_back(ev::try_commit(1));
+    events.push_back(ev::commit(1, snapshot));
+  } else {
+    events.push_back(ev::abort(1, snapshot));
+  }
+  return events;
+}
+
 class RecorderEquivalence : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(RecorderEquivalence, DeterministicScheduleSameLinearization) {
-  const auto mutex_stm = make_stm(GetParam(), 4);
-  MutexRecorder mutex_recorder(4);
-  mutex_stm->set_recorder(&mutex_recorder);
-  drive_interleaved(*mutex_stm);
+  const auto stm = make_stm(GetParam(), 4);
+  Recorder recorder(4);
+  stm->set_recorder(&recorder);
+  drive_interleaved(*stm);
 
-  const auto sharded_stm = make_stm(GetParam(), 4);
-  Recorder sharded_recorder(4);
-  sharded_stm->set_recorder(&sharded_recorder);
-  drive_interleaved(*sharded_stm);
-
-  const core::History a = mutex_recorder.history();
-  const core::History b = sharded_recorder.history();
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i], b[i]) << "event " << i << ": " << core::to_string(a[i])
-                          << " vs " << core::to_string(b[i]);
+  const std::vector<core::Event> expected = expected_recording(GetParam());
+  const core::History h = recorder.history();
+  ASSERT_EQ(h.size(), expected.size());
+  for (std::size_t i = 0; i < h.size(); ++i) {
+    EXPECT_EQ(h[i], expected[i]) << "event " << i << ": " << core::to_string(h[i])
+                                 << " vs " << core::to_string(expected[i]);
     // Event::operator== already covers these, but the stamp fields are
     // what the window-free certificate lives on — compare them explicitly
     // so a regression names the field, not just the event.
-    EXPECT_EQ(a[i].stamp, b[i].stamp) << "event " << i;
-    EXPECT_EQ(a[i].ver, b[i].ver) << "event " << i;
+    EXPECT_EQ(h[i].stamp, expected[i].stamp) << "event " << i;
+    EXPECT_EQ(h[i].ver, expected[i].ver) << "event " << i;
   }
-  EXPECT_EQ(mutex_recorder.certificate_order(),
-            sharded_recorder.certificate_order());
-  EXPECT_EQ(mutex_recorder.num_events(), sharded_recorder.num_events());
+  // T1 serializes first: at its snapshot stamp 1 < T2's commit stamp, or,
+  // unstamped, at its last read response, which precedes C2.
+  EXPECT_EQ(recorder.certificate_order(), (std::vector<core::TxId>{1, 2}));
+  EXPECT_EQ(recorder.num_events(), expected.size());
 }
 
 INSTANTIATE_TEST_SUITE_P(Stms, RecorderEquivalence,
                          ::testing::Values("tl2", "tiny", "norec", "dstm",
                                            "astm", "visible", "mv"));
 
-// Window-free mutex-vs-sharded equivalence, fuzzed over seeds: with no
-// window taken at all, both engines must still record the same events with
-// the same read-stamp pairs on a deterministic schedule — and the sharded
-// drain() must carry the stamp fields through unchanged (the regression
-// guard for Event gaining fields the drain path might forget).
+// Window-free recording, fuzzed over seeds: with no window taken at all,
+// drain() must hand out exactly what history() reconstructs — stamp fields
+// included (the regression guard for Event gaining fields the drain path
+// might forget) — every read stamp must be a snapshot (2·rv+1), and the
+// drained stream must certify under the stamped policy.
 class WindowFreeRecorderFuzz : public ::testing::TestWithParam<std::string> {};
 
-TEST_P(WindowFreeRecorderFuzz, MutexAndShardedAgreeIncludingStamps) {
+TEST_P(WindowFreeRecorderFuzz, DrainMatchesHistoryAndCertifiesStamped) {
   std::size_t stamped_reads = 0;
   for (std::uint64_t seed = 1; seed <= 30; ++seed) {
-    const auto mutex_stm = make_stm(GetParam(), 6);
-    ASSERT_TRUE(mutex_stm->set_window_free(true));
-    MutexRecorder mutex_recorder(6);
-    mutex_stm->set_recorder(&mutex_recorder);
+    const auto stm = make_stm(GetParam(), 6);
+    ASSERT_TRUE(stm->set_window_free(true));
+    Recorder recorder(6);
+    stm->set_recorder(&recorder);
 
-    const auto sharded_stm = make_stm(GetParam(), 6);
-    ASSERT_TRUE(sharded_stm->set_window_free(true));
-    Recorder sharded_recorder(6);
-    sharded_stm->set_recorder(&sharded_recorder);
-
-    // One logical process, seeded op mix — deterministic, so both engines
-    // see the identical schedule.
-    for (auto* stm : {static_cast<Stm*>(mutex_stm.get()),
-                      static_cast<Stm*>(sharded_stm.get())}) {
-      sim::ThreadCtx ctx(0);
-      util::Xoshiro256 rng(seed);
-      for (int t = 0; t < 6; ++t) {
-        stm->begin(ctx);
-        bool doomed = false;
-        const auto ops = 1 + rng.below(3);
-        for (std::uint64_t op = 0; op < ops && !doomed; ++op) {
-          const auto var = static_cast<VarId>(rng.below(6));
-          if (rng.chance(0.5)) {
-            doomed = !stm->write(ctx, var, (seed << 20) | (t << 8) | (op + 1));
-          } else {
-            std::uint64_t v = 0;
-            doomed = !stm->read(ctx, var, v);
-          }
+    // One logical process, seeded op mix.
+    sim::ThreadCtx ctx(0);
+    util::Xoshiro256 rng(seed);
+    for (int t = 0; t < 6; ++t) {
+      stm->begin(ctx);
+      bool doomed = false;
+      const auto ops = 1 + rng.below(3);
+      for (std::uint64_t op = 0; op < ops && !doomed; ++op) {
+        const auto var = static_cast<VarId>(rng.below(6));
+        if (rng.chance(0.5)) {
+          doomed = !stm->write(ctx, var, (seed << 20) | (t << 8) | (op + 1));
+        } else {
+          std::uint64_t v = 0;
+          doomed = !stm->read(ctx, var, v);
         }
-        if (!doomed) (void)stm->commit(ctx);
       }
+      if (!doomed) (void)stm->commit(ctx);
     }
 
-    const core::History a = mutex_recorder.history();
-
-    // Drain path (what live verification consumes), not history(): the
-    // stamp fields must survive the chunked-lane copy and the k-way merge.
+    // Drain path (what live verification consumes) against history(): the
+    // stamp fields must survive the lane encoding and the k-way merge.
+    const core::History h = recorder.history();
     EventBatch drained;
-    while (sharded_recorder.drain(drained) > 0) {
+    while (recorder.drain(drained) > 0) {
     }
-    ASSERT_EQ(a.size(), drained.size()) << "seed " << seed;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      ASSERT_EQ(a[i], drained[i]) << "seed " << seed << " event " << i;
-      EXPECT_EQ(a[i].stamp, drained[i].stamp) << "seed " << seed << " event " << i;
-      EXPECT_EQ(a[i].ver, drained[i].ver) << "seed " << seed << " event " << i;
-      if (a[i].kind == core::EventKind::kResponse &&
-          a[i].op == core::OpCode::kRead && a[i].stamp != 0) {
+    ASSERT_EQ(h.size(), drained.size()) << "seed " << seed;
+    for (std::size_t i = 0; i < h.size(); ++i) {
+      ASSERT_EQ(h[i], drained[i]) << "seed " << seed << " event " << i;
+      EXPECT_EQ(h[i].stamp, drained[i].stamp) << "seed " << seed << " event " << i;
+      EXPECT_EQ(h[i].ver, drained[i].ver) << "seed " << seed << " event " << i;
+      if (h[i].kind == core::EventKind::kResponse &&
+          h[i].op == core::OpCode::kRead && h[i].stamp != 0) {
         ++stamped_reads;
-        EXPECT_EQ(a[i].stamp % 2, 1u) << "read stamps are snapshots (2rv+1)";
+        EXPECT_EQ(h[i].stamp % 2, 1u) << "read stamps are snapshots (2rv+1)";
       }
     }
-    // The window-free drained stream certifies under the stamped policy.
     core::OnlineCertificateMonitor monitor(
-        sharded_recorder.model(), core::VersionOrderPolicy::kStampedRead);
+        recorder.model(), core::VersionOrderPolicy::kStampedRead);
     EXPECT_TRUE(monitor.ingest(drained)) << "seed " << seed << ": "
                                          << monitor.violation()->reason;
   }
